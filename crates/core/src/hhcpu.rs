@@ -1,10 +1,7 @@
 //! Algorithm HH-CPU (the paper's Algorithm 1).
 
-use std::sync::OnceLock;
-
 use spmm_sparse::{AccumStrategy, CsrMatrix, Scalar};
 
-use spmm_hetsim::gpu::{masked_output_widths_for_pooled, masked_output_widths_pooled};
 use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes};
 use spmm_workqueue::{End, RangeQueue};
 
@@ -59,30 +56,29 @@ pub struct SpmmArtifacts {
     /// GPU output-width table under the `B_L` mask (all A rows) — serves
     /// the Phase II `A_L × B_L` product and the GPU's `A_H × B_L` claims.
     pub w_low: Vec<u32>,
-    /// Width table under the `B_H` mask, restricted to `A_L` rows. Only
-    /// needed when the GPU drains the CPU's queue end, so it is built
-    /// lazily on first use and memoised here for later warm runs.
-    w_high: OnceLock<Vec<u32>>,
+    /// Width table under the `B_H` mask on the `A_L` rows (0 on `A_H`
+    /// rows) — serves the GPU's `A_L × B_H` claims when it drains the
+    /// CPU's queue end.
+    pub w_high: Vec<u32>,
 }
 
 impl SpmmArtifacts {
-    /// Run Phase I and build the eager width table — the cold-path work
-    /// that [`hh_cpu`] performs on every call and a serve layer performs
-    /// once per `(A, B, policy)`.
+    /// Run Phase I — the cold-path work that [`hh_cpu`] performs on every
+    /// call and a serve layer performs once per `(A, B, policy)`. Both
+    /// width tables are the ones Phase I's ladder pass already built for
+    /// the picked thresholds; no width pass runs here.
     pub fn build<T: Scalar>(
         ctx: &HeteroContext,
         a: &CsrMatrix<T>,
         b: &CsrMatrix<T>,
         policy: ThresholdPolicy,
     ) -> Self {
-        let plan = threshold::identify_plan(ctx, a, b, policy);
-        let b_low: Vec<bool> = plan.thresholds.b_high.iter().map(|&h| !h).collect();
-        let w_low = masked_output_widths_pooled(a, b, Some(&b_low), &ctx.pool, &ctx.workspaces);
+        let (plan, w_low, w_high) = threshold::identify_plan_with_widths(ctx, a, b, policy);
         Self {
             policy,
             plan,
             w_low,
-            w_high: OnceLock::new(),
+            w_high,
         }
     }
 
@@ -97,12 +93,9 @@ impl SpmmArtifacts {
     /// rows merge) depends only on the row's own content plus these global
     /// masks, a band run with sliced artifacts produces rows bit-identical
     /// to the monolithic run — re-running Phase I per band would not
-    /// (per-band thresholds would reclassify rows).
-    ///
-    /// The `w_high` table is deliberately *not* sliced: it is lazily built
-    /// over `A_L` rows on first GPU drain of the CPU queue end, and each
-    /// band memoises its own on demand from the same deterministic
-    /// computation.
+    /// (per-band thresholds would reclassify rows). A row's widths depend
+    /// only on its own sources and the global masks, so the sliced tables
+    /// are exactly the band's own.
     pub fn for_row_band<T: Scalar>(
         &self,
         rows: std::ops::Range<usize>,
@@ -128,8 +121,8 @@ impl SpmmArtifacts {
         SpmmArtifacts {
             policy: self.policy,
             plan,
-            w_low: self.w_low[rows].to_vec(),
-            w_high: OnceLock::new(),
+            w_low: self.w_low[rows.clone()].to_vec(),
+            w_high: self.w_high[rows].to_vec(),
         }
     }
 
@@ -138,7 +131,7 @@ impl SpmmArtifacts {
         let plan = &self.plan;
         let masks = plan.thresholds.a_high.len() + plan.thresholds.b_high.len();
         let syms = plan.sym_a.byte_size() + plan.sym_b.as_ref().map_or(0, |s| s.byte_size());
-        let widths = (self.w_low.len() + self.w_high.get().map_or(0, Vec::len)) * 4;
+        let widths = (self.w_low.len() + self.w_high.len()) * 4;
         masks + syms + widths + std::mem::size_of::<Self>()
     }
 }
@@ -219,13 +212,10 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
         .units
         .unwrap_or_else(|| WorkUnitConfig::adaptive(rows_al.len(), rows_ah.len()));
 
-    // Width tables for the planned GPU costing: the B_L table serves the
-    // Phase II product (A_L rows) and the GPU's A_H × B_L claims — all A
-    // rows together — so it was built eagerly (across the host pool) with
-    // the artifacts. The B_H table only matters if the GPU drains the
-    // CPU's queue end, and then only for A_L rows, so it is built lazily,
-    // restricted, and memoised on the artifacts for later warm runs.
-    let w_low = &artifacts.w_low;
+    // Width tables for the planned GPU costing, built by Phase I: the B_L
+    // table serves the Phase II product (A_L rows) and the GPU's A_H × B_L
+    // claims; the B_H table serves its A_L × B_H claims.
+    let (w_low, w_high) = (&artifacts.w_low, &artifacts.w_high);
 
     // ---- Phase II: A_H × B_H on CPU ∥ A_L × B_L on GPU. The CPU side
     // runs the cache-blocked kernel of §III-B (B_H tiled through L2). ----
@@ -341,23 +331,10 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
                 sim_ns: ns,
             });
         } else {
-            let ns = if high_rows {
-                ctx.gpu
-                    .spmm_cost_planned(a, b, rows.iter().copied(), Some(b_mask), w_low)
-            } else {
-                let w = artifacts.w_high.get_or_init(|| {
-                    masked_output_widths_for_pooled(
-                        a,
-                        b,
-                        Some(&th.b_high),
-                        &rows_al,
-                        &ctx.pool,
-                        &ctx.workspaces,
-                    )
-                });
-                ctx.gpu
-                    .spmm_cost_planned(a, b, rows.iter().copied(), Some(b_mask), w)
-            };
+            let widths = if high_rows { w_low } else { w_high };
+            let ns = ctx
+                .gpu
+                .spmm_cost_planned(a, b, rows.iter().copied(), Some(b_mask), widths);
             gpu_clock += ns;
             gpu_claims.push(ScheduledClaim {
                 device: DeviceKind::Gpu,

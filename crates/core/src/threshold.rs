@@ -4,20 +4,22 @@
 //! would increase, whereas keeping t large may tilt the balance towards the
 //! GPU. Hence, we chose to identify t empirically."
 //!
-//! Two policies are provided:
+//! Three policies are provided:
 //!
 //! * [`ThresholdPolicy::Fixed`] — a caller-supplied threshold (what the
 //!   Figure 8 sweep uses).
-//! * [`ThresholdPolicy::Balanced`] — the default: pick, from the row-size
-//!   histogram's quantile candidates, the threshold that best balances the
-//!   *estimated* Phase II work between the devices. This is the analytic
-//!   stand-in for the paper's offline empirical search (the paper lists
-//!   "analytical techniques to identify the threshold" as future work —
-//!   §VI; this policy is that extension).
+//! * [`ThresholdPolicy::Balanced`] — pick, from the row-size histogram's
+//!   quantile candidates, the threshold that best balances the
+//!   *estimated* Phase II work between the devices (the "analytical
+//!   techniques to identify the threshold" the paper lists as future work
+//!   — §VI).
+//! * [`ThresholdPolicy::Empirical`] — the default and the paper's method:
+//!   dry-run the device cost models for every threshold of a log-spaced
+//!   ladder and keep the cheapest. Every candidate's GPU width tables come
+//!   from one [`LadderWidths`] pass, which the winner hands on to the run.
 
-use spmm_hetsim::gpu::{masked_output_widths_for_pooled, masked_output_widths_pooled};
-use spmm_parallel::ThreadPool;
-use spmm_sparse::{CsrMatrix, RowHistogram, Scalar};
+use spmm_parallel::{DisjointSlice, ThreadPool};
+use spmm_sparse::{ColIndex, CsrMatrix, RowHistogram, Scalar};
 
 use crate::context::HeteroContext;
 
@@ -110,12 +112,50 @@ pub fn identify_plan<T: Scalar>(
     b: &CsrMatrix<T>,
     policy: ThresholdPolicy,
 ) -> Phase1Plan {
+    search(ctx, a, b, policy).0
+}
+
+/// [`identify_plan`] plus the GPU output-width tables of the picked
+/// thresholds: `w_low` under the `B_L` mask for every A row, and `w_high`
+/// under the `B_H` mask for the `A_L` rows (0 on `A_H` rows). The
+/// empirical search already built every candidate's tables in its one
+/// ladder pass, so the winner's are handed over rather than rebuilt; the
+/// `Fixed` and `Balanced` policies run the same pass over a one-entry
+/// ladder. Either way the tables are byte-equal to
+/// `masked_output_widths{,_for}` under the same masks.
+pub(crate) fn identify_plan_with_widths<T: Scalar>(
+    ctx: &HeteroContext,
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    policy: ThresholdPolicy,
+) -> (Phase1Plan, Vec<u32>, Vec<u32>) {
+    let (plan, searched) = search(ctx, a, b, policy);
+    let (widths, j) = searched.unwrap_or_else(|| {
+        let th = &plan.thresholds;
+        (
+            LadderWidths::build(a, b, &[th.t_a], &[th.t_b], &ctx.pool),
+            0,
+        )
+    });
+    let (w_low, w_high) = (widths.low(j).to_vec(), widths.high(j).to_vec());
+    (plan, w_low, w_high)
+}
+
+/// Phase I proper. The empirical policy also returns the ladder tables it
+/// costed its candidates against, with the winner's index.
+fn search<T: Scalar>(
+    ctx: &HeteroContext,
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    policy: ThresholdPolicy,
+) -> (Phase1Plan, Option<(LadderWidths, usize)>) {
     let sym_a = SymbolicStructure::from_matrix(a);
     let sym_b = if std::ptr::eq(a, b) {
         None
     } else {
         Some(SymbolicStructure::from_matrix(b))
     };
+    let mut searched = None;
     let (t_a, t_b) = match policy {
         ThresholdPolicy::Fixed { t_a, t_b } => (t_a, t_b),
         ThresholdPolicy::Balanced { candidates } => {
@@ -132,7 +172,7 @@ pub fn identify_plan<T: Scalar>(
             (t_a, t_b)
         }
         ThresholdPolicy::Empirical { candidates } => {
-            let t = empirical_threshold(
+            let (t, winner) = empirical_threshold(
                 ctx,
                 a,
                 b,
@@ -140,12 +180,13 @@ pub fn identify_plan<T: Scalar>(
                 &sym_a,
                 sym_b.as_ref().unwrap_or(&sym_a),
             );
+            searched = winner;
             (t, t)
         }
     };
     let a_high = sym_a.classify(t_a);
     let b_high = sym_b.as_ref().unwrap_or(&sym_a).classify(t_b);
-    Phase1Plan {
+    let plan = Phase1Plan {
         thresholds: Thresholds {
             t_a,
             t_b,
@@ -154,7 +195,8 @@ pub fn identify_plan<T: Scalar>(
         },
         sym_a,
         sym_b,
-    }
+    };
+    (plan, searched)
 }
 
 /// The Boolean array: row `i` is high-density iff it has at least `t`
@@ -279,6 +321,260 @@ impl SymbolicStructure {
     }
 }
 
+/// Every ladder candidate's masked GPU output-width tables — the `width`
+/// that [`GpuDevice::spmm_cost_planned`] reads per row — built in one
+/// row-parallel pass instead of one stamp walk per candidate and mask.
+///
+/// Candidate `j` classifies B at `t_b[j]` and A at `t_a[j]` (each clamped
+/// to `max(t, 1)` like [`classify`]). Its tables are:
+///
+/// * `low(j)` — widths under the `B_L` mask, for every A row;
+/// * `high(j)` — widths under the `B_H` mask, for the rows of `A_L`
+///   (0 on `A_H` rows, exactly like `masked_output_widths_for`).
+///
+/// **Why one pass is exact.** Column `c` of output row `i` survives the
+/// `B_L` mask iff at least one of its contributing source rows `k` is
+/// low, i.e. iff the *smallest* `|B(k,:)|` among them is `< t`; it
+/// survives the `B_H` mask iff the *largest* is `≥ t`. Thresholding is
+/// monotone in row size, so each source row maps once to its ladder
+/// bucket — the number of thresholds at or below its size — and the pass
+/// keeps, per touched column, only the min and max bucket of its sources.
+/// Histogramming the row's columns by min and by max bucket then answers
+/// every candidate by a prefix (low) or suffix (high) sum. Widths are
+/// integer counts of the same column sets, so the tables are byte-equal
+/// to `masked_output_widths{,_for}` under each candidate's masks for any
+/// host thread count.
+///
+/// [`GpuDevice::spmm_cost_planned`]: spmm_hetsim::GpuDevice::spmm_cost_planned
+#[derive(Debug, Clone)]
+pub struct LadderWidths {
+    nrows: usize,
+    /// Candidate-major: `low[j * nrows + i]`.
+    low: Vec<u32>,
+    /// Candidate-major: `high[j * nrows + i]`.
+    high: Vec<u32>,
+}
+
+impl LadderWidths {
+    /// Build every candidate's tables in one pass over `a`'s rows on
+    /// `pool`. `t_a` and `t_b` hold one threshold per candidate; `t_b`
+    /// must be non-decreasing (ladders are) and hold fewer than 256
+    /// entries, so a bucket fits a byte.
+    pub fn build<T: Scalar>(
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+        t_a: &[usize],
+        t_b: &[usize],
+        pool: &ThreadPool,
+    ) -> Self {
+        Self::build_with(a, b, t_a, t_b, pool, BucketScratch::new)
+    }
+
+    /// [`LadderWidths::build`] with every worker's scratch in the state of
+    /// one that has already scattered `u32::MAX - 2` rows: its stamps hold
+    /// generation 1 — which the counter reaches again two rows after the
+    /// wrap — over nonsense buckets. A test drives the wrap guard with it
+    /// without scattering four billion rows; the tables must not change.
+    #[doc(hidden)]
+    pub fn build_near_wrap<T: Scalar>(
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+        t_a: &[usize],
+        t_b: &[usize],
+        pool: &ThreadPool,
+    ) -> Self {
+        Self::build_with(a, b, t_a, t_b, pool, |ncols, candidates| {
+            let mut scratch = BucketScratch::new(ncols, candidates);
+            scratch.generation = u32::MAX - 2;
+            scratch.slots.fill(BucketSlot {
+                stamp: 1,
+                lo: candidates as u8,
+                hi: 0,
+            });
+            scratch
+        })
+    }
+
+    fn build_with<T: Scalar>(
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+        t_a: &[usize],
+        t_b: &[usize],
+        pool: &ThreadPool,
+        scratch: impl Fn(usize, usize) -> BucketScratch + Sync,
+    ) -> Self {
+        let m = t_b.len();
+        assert_eq!(t_a.len(), m, "one A threshold per candidate");
+        assert!(m < 256, "ladder buckets must fit a byte");
+        assert!(
+            t_b.windows(2).all(|w| w[0] <= w[1]),
+            "the B ladder must be non-decreasing"
+        );
+        assert_eq!(a.ncols(), b.nrows(), "A and B incompatible");
+        let n = a.nrows();
+        let t_a: Vec<usize> = t_a.iter().map(|&t| t.max(1)).collect();
+        let t_b: Vec<usize> = t_b.iter().map(|&t| t.max(1)).collect();
+        // bucket(k) = number of thresholds ≤ |B(k,:)|: source k is high
+        // for candidates j < bucket(k) and low for j ≥ bucket(k)
+        let bucket: Vec<u8> = (0..b.nrows())
+            .map(|k| t_b.partition_point(|&t| t <= b.row_nnz(k)) as u8)
+            .collect();
+        let mut low = vec![0u32; m * n];
+        let mut high = vec![0u32; m * n];
+        let low_out = DisjointSlice::new(&mut low);
+        let high_out = DisjointSlice::new(&mut high);
+        pool.for_each_guided_with(
+            n,
+            64,
+            || scratch(b.ncols(), m),
+            |scratch, range| {
+                for i in range {
+                    let a_size = a.row_nnz(i);
+                    scratch.scatter_row(a.row(i).0, b, &bucket);
+                    for (j, (w_low, w_high)) in scratch.widths().take(m).enumerate() {
+                        // SAFETY: row `i` is claimed by exactly one worker,
+                        // and `j * n + i` is distinct for every (j, i) with
+                        // i < n, so no index is written twice.
+                        unsafe {
+                            if w_low != 0 {
+                                low_out.write(j * n + i, w_low);
+                            }
+                            if w_high != 0 && a_size < t_a[j] {
+                                high_out.write(j * n + i, w_high);
+                            }
+                        }
+                    }
+                }
+            },
+        );
+        Self {
+            nrows: n,
+            low,
+            high,
+        }
+    }
+
+    /// Candidate `j`'s widths under its `B_L` mask, one per A row.
+    pub fn low(&self, j: usize) -> &[u32] {
+        &self.low[j * self.nrows..(j + 1) * self.nrows]
+    }
+
+    /// Candidate `j`'s widths under its `B_H` mask on its `A_L` rows (0 on
+    /// its `A_H` rows), one per A row.
+    pub fn high(&self, j: usize) -> &[u32] {
+        &self.high[j * self.nrows..(j + 1) * self.nrows]
+    }
+}
+
+/// One touched output column of the row being scattered: the stamp of the
+/// row that last touched it and the min / max ladder bucket among its
+/// contributing source rows.
+#[derive(Debug, Clone, Copy)]
+struct BucketSlot {
+    stamp: u32,
+    lo: u8,
+    hi: u8,
+}
+
+/// Per-worker scratch of the ladder pass: a generation-stamped slot per
+/// output column (never cleared between rows) plus the current row's
+/// column histograms by min and by max bucket.
+struct BucketScratch {
+    slots: Vec<BucketSlot>,
+    generation: u32,
+    /// `by_lo[b]` = columns of the row whose min source bucket is `b`.
+    by_lo: Vec<u32>,
+    /// `by_hi[b]` = columns of the row whose max source bucket is `b`.
+    by_hi: Vec<u32>,
+}
+
+impl BucketScratch {
+    fn new(ncols: usize, candidates: usize) -> Self {
+        let fresh = BucketSlot {
+            stamp: u32::MAX,
+            lo: 0,
+            hi: 0,
+        };
+        Self {
+            slots: vec![fresh; ncols],
+            generation: 0,
+            by_lo: vec![0; candidates + 1],
+            by_hi: vec![0; candidates + 1],
+        }
+    }
+
+    /// Start a new row. Stamps start at `u32::MAX`, which a live
+    /// generation never equals; when the counter would reach it, every
+    /// stamp is rewritten first so a stale one cannot alias a future row.
+    fn next_generation(&mut self) -> u32 {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == u32::MAX {
+            self.slots.iter_mut().for_each(|s| s.stamp = u32::MAX);
+            self.generation = 0;
+        }
+        self.generation
+    }
+
+    /// Histogram the output columns of the row with source columns
+    /// `sources` by the min and max bucket of their contributors.
+    fn scatter_row<T: Scalar>(&mut self, sources: &[ColIndex], b: &CsrMatrix<T>, bucket: &[u8]) {
+        self.by_lo.fill(0);
+        self.by_hi.fill(0);
+        // a single non-empty source needs no marking: its columns are
+        // distinct and all share its bucket
+        let mut live = sources.iter().filter(|&&k| b.row_nnz(k as usize) > 0);
+        let (Some(&first), second) = (live.next(), live.next()) else {
+            return;
+        };
+        if second.is_none() {
+            let k = first as usize;
+            let bk = bucket[k] as usize;
+            self.by_lo[bk] = b.row_nnz(k) as u32;
+            self.by_hi[bk] = b.row_nnz(k) as u32;
+            return;
+        }
+        let generation = self.next_generation();
+        for &k in sources {
+            let bk = bucket[k as usize];
+            for &c in b.row(k as usize).0 {
+                let slot = &mut self.slots[c as usize];
+                if slot.stamp != generation {
+                    *slot = BucketSlot {
+                        stamp: generation,
+                        lo: bk,
+                        hi: bk,
+                    };
+                    self.by_lo[bk as usize] += 1;
+                    self.by_hi[bk as usize] += 1;
+                } else if bk < slot.lo {
+                    self.by_lo[slot.lo as usize] -= 1;
+                    self.by_lo[bk as usize] += 1;
+                    slot.lo = bk;
+                } else if bk > slot.hi {
+                    self.by_hi[slot.hi as usize] -= 1;
+                    self.by_hi[bk as usize] += 1;
+                    slot.hi = bk;
+                }
+            }
+        }
+    }
+
+    /// `(low, high)` widths of the scattered row for candidates
+    /// `0, 1, …`: the columns with a low source (min bucket ≤ j) and with
+    /// a high source (max bucket > j), as running prefix sums.
+    fn widths(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let columns: u32 = self.by_hi.iter().sum();
+        self.by_lo
+            .iter()
+            .zip(&self.by_hi)
+            .scan((0u32, columns), |(low, high), (&l, &h)| {
+                *low += l;
+                *high -= h;
+                Some((*low, *high))
+            })
+    }
+}
+
 /// Pick the candidate threshold minimising the estimated Phase II wall
 /// time `max(cpu(A_H × B_H), gpu(A_L × B_L))`.
 ///
@@ -331,39 +627,20 @@ fn balanced_threshold(
     best.1
 }
 
-/// The paper's empirical Phase I search: for each candidate threshold,
-/// evaluate the device cost models on the four partial products (fresh
-/// device state per candidate) and keep the candidate with the smallest
-/// estimated total. One threshold is used for both matrices, as in the
-/// paper's per-matrix experiments (Figure 5 annotates a single threshold).
-///
-/// The search fans the ladder out over the host pool: every candidate gets
-/// its own freshly cloned devices (no shared mutable state), the candidate
-/// costs come back in ladder order, and the argmin is taken serially with
-/// the same strict `<` the serial loop used — so the picked `t` and its
-/// estimated cost are bit-identical for every host thread count.
-fn empirical_threshold<T: Scalar>(
-    ctx: &HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    candidates: usize,
-    sym_a: &SymbolicStructure,
-    sym_b: &SymbolicStructure,
-) -> usize {
-    // Log-spaced candidate ladder: the interesting thresholds live in the
-    // distribution's tail, which row-count quantiles never reach. The
-    // single shared `t` classifies *both* matrices, so for A ≠ B products
-    // (the Figure 10 workload) the ladder must span whichever tail is
-    // longer — building it from A alone would leave B's hub rows
-    // unexplored.
-    let max_size = sym_b.max_row_nnz().max(sym_a.max_row_nnz());
+/// The empirical search's candidate thresholds for operands whose longest
+/// row holds `max_row_nnz` entries: log-spaced powers of two from 2, then
+/// `max_row_nnz + 1` (the all-GPU end), thinned evenly to at most about
+/// `candidates` entries while keeping both ends. The interesting
+/// thresholds live in the distribution's tail, which row-count quantiles
+/// never reach. Strictly increasing.
+pub fn empirical_ladder(max_row_nnz: usize, candidates: usize) -> Vec<usize> {
     let mut ladder: Vec<usize> = Vec::new();
     let mut t = 2usize;
-    while t <= max_size {
+    while t <= max_row_nnz {
         ladder.push(t);
         t *= 2;
     }
-    ladder.push(max_size + 1);
+    ladder.push(max_row_nnz + 1);
     if ladder.len() > candidates {
         // thin evenly, keeping the ends
         let stride = ladder.len().div_ceil(candidates);
@@ -373,37 +650,51 @@ fn empirical_threshold<T: Scalar>(
             ladder.push(last);
         }
     }
+    ladder
+}
 
-    // Serial fast path: with one host thread the pool dispatch buys
-    // nothing, and the dominant per-candidate fixed cost — building a
-    // fresh cache hierarchy for each device — can be reused instead.
-    // `reset()` restores exactly the cold state a fresh construction
-    // yields (sets flushed, stats zeroed), so every candidate still costs
-    // against cold devices and the picks are bit-identical to the
-    // fan-out; the `phase1_determinism` suite pins this.
-    let totals: Vec<f64> = if ctx.pool.num_threads() == 1 {
-        let mut cpu = spmm_hetsim::CpuDevice::new(ctx.platform.cpu);
-        let mut gpu = spmm_hetsim::GpuDevice::new(ctx.platform.gpu);
-        ladder
-            .iter()
-            .map(|&t| {
-                let (p2, p3) = estimate_phases_on(ctx, a, b, t, sym_a, sym_b, &mut cpu, &mut gpu);
-                p2 + p3
-            })
-            .collect()
-    } else {
-        ctx.pool.par_map(ladder.len(), |k| {
-            let (p2, p3) = estimate_phases_with(ctx, a, b, ladder[k], sym_a, sym_b);
-            p2 + p3
-        })
-    };
-    let mut best = (f64::INFINITY, 1usize);
-    for (&t, total) in ladder.iter().zip(totals) {
+/// The paper's empirical Phase I search: for each candidate threshold,
+/// evaluate the device cost models on the four partial products (fresh
+/// device state per candidate) and keep the candidate with the smallest
+/// estimated total. One threshold is used for both matrices, as in the
+/// paper's per-matrix experiments (Figure 5 annotates a single threshold).
+///
+/// Every candidate's width tables come from one [`LadderWidths`] pass on
+/// the host pool before the ladder fans out; candidates then only borrow
+/// their slices. The fan-out gives every candidate its own freshly cloned
+/// devices (no shared mutable state), the candidate costs come back in
+/// ladder order, and the argmin is taken serially with a strict `<` — so
+/// the picked `t` and its estimated cost are bit-identical for every host
+/// thread count.
+///
+/// Returns the pick plus the ladder tables and the pick's index in them
+/// (`None` when no candidate beat the `t = 1` fallback).
+fn empirical_threshold<T: Scalar>(
+    ctx: &HeteroContext,
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    candidates: usize,
+    sym_a: &SymbolicStructure,
+    sym_b: &SymbolicStructure,
+) -> (usize, Option<(LadderWidths, usize)>) {
+    // The single shared `t` classifies *both* matrices, so for A ≠ B
+    // products (the Figure 10 workload) the ladder must span whichever
+    // tail is longer — building it from A alone would leave B's hub rows
+    // unexplored.
+    let ladder = empirical_ladder(sym_a.max_row_nnz().max(sym_b.max_row_nnz()), candidates);
+    let widths = LadderWidths::build(a, b, &ladder, &ladder, &ctx.pool);
+    let totals = ctx.pool.par_map(ladder.len(), |k| {
+        let (w_low, w_high) = (widths.low(k), widths.high(k));
+        let (p2, p3) = dry_run(ctx, a, b, ladder[k], sym_a, sym_b, w_low, w_high);
+        p2 + p3
+    });
+    let mut best = (f64::INFINITY, 1usize, None);
+    for (k, total) in totals.into_iter().enumerate() {
         if total < best.0 {
-            best = (total, t);
+            best = (total, ladder[k], Some(k));
         }
     }
-    best.1
+    (best.1, best.2.map(|k| (widths, k)))
 }
 
 /// Cost-model-only dry run of Phases II and III for threshold `t` —
@@ -447,10 +738,10 @@ pub fn estimate_phases<T: Scalar>(
 /// per candidate. Pass the same structure twice for the self-product.
 ///
 /// GPU claims are costed through [`GpuDevice::spmm_cost_planned`] against
-/// width tables built once per mask (bit-identical ns; the candidate's
-/// O(flops) stamp walks collapse into one integer precompute). The tables
-/// are built serially — this function runs inside the candidate-parallel
-/// `par_map` workers, which must not nest pools.
+/// the width tables of a one-entry [`LadderWidths`] pass on the host pool
+/// (bit-identical ns to the live stamp walk).
+///
+/// [`GpuDevice::spmm_cost_planned`]: spmm_hetsim::GpuDevice::spmm_cost_planned
 pub fn estimate_phases_with<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
@@ -459,46 +750,35 @@ pub fn estimate_phases_with<T: Scalar>(
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
 ) -> (f64, f64) {
-    let mut cpu = spmm_hetsim::CpuDevice::new(ctx.platform.cpu);
-    let mut gpu = spmm_hetsim::GpuDevice::new(ctx.platform.gpu);
-    estimate_phases_on(ctx, a, b, t, sym_a, sym_b, &mut cpu, &mut gpu)
+    let widths = LadderWidths::build(a, b, &[t], &[t], &ctx.pool);
+    dry_run(ctx, a, b, t, sym_a, sym_b, widths.low(0), widths.high(0))
 }
 
-/// [`estimate_phases_with`] against caller-owned devices, `reset()` to
-/// cold state at entry. The serial ladder loop reuses one device pair
-/// across all candidates — the simulated costs depend only on cache
-/// contents, and a reset hierarchy is bitwise the fresh one, so this is
-/// the exact per-candidate cost of the cloned-device form without its
-/// per-candidate hierarchy allocations.
+/// The dry run of [`estimate_phases_with`] on fresh cold devices, against
+/// borrowed width tables for `t`: `w_low` under the `B_L` mask (every A
+/// row) and `w_high` under the `B_H` mask (the `A_L` rows), as
+/// [`LadderWidths`] lays them out.
 #[allow(clippy::too_many_arguments)]
-fn estimate_phases_on<T: Scalar>(
+fn dry_run<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     t: usize,
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
-    cpu: &mut spmm_hetsim::CpuDevice,
-    gpu: &mut spmm_hetsim::GpuDevice,
+    w_low: &[u32],
+    w_high: &[u32],
 ) -> (f64, f64) {
-    cpu.reset();
-    gpu.reset();
+    let mut cpu = spmm_hetsim::CpuDevice::new(ctx.platform.cpu);
+    let mut gpu = spmm_hetsim::GpuDevice::new(ctx.platform.gpu);
     let (rows_h, rows_l) = sym_a.partition_rows(t);
     let b_high = sym_b.classify(t);
     let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
     let hd_b = sym_b.hd_rows(t);
     let ld_b = b.nrows() - hd_b;
 
-    let serial = ThreadPool::new(1);
-    // Widths under B_L serve both the Phase II product (A_L rows) and the
-    // GPU's A_H × B_L claims — together every A row, so build eagerly. The
-    // B_H table only matters if the GPU drains the CPU's queue end, and
-    // then only for A_L rows — build lazily, restricted to that quadrant.
-    let w_low = masked_output_widths_pooled(a, b, Some(&b_low), &serial, &ctx.workspaces);
-    let mut w_high: Option<Vec<u32>> = None;
-
     let c2 = cpu.spmm_cost_blocked(a, b, rows_h.iter().copied(), Some(&b_high));
-    let g2 = gpu.spmm_cost_planned(a, b, rows_l.iter().copied(), Some(&b_low), &w_low);
+    let g2 = gpu.spmm_cost_planned(a, b, rows_l.iter().copied(), Some(&b_low), w_low);
 
     // Phase III dry run over the same two-queue, nnz-budgeted discipline
     // as `hh_cpu`. The means and nnz totals are integer sums over fixed row
@@ -548,10 +828,10 @@ fn estimate_phases_on<T: Scalar>(
                 })
         };
         let Some((piece, high)) = claim else { break };
-        let (rows, mask): (&[usize], &[bool]) = if high {
-            (&rows_h[piece], &b_low)
+        let (rows, mask, widths): (&[usize], &[bool], &[u32]) = if high {
+            (&rows_h[piece], &b_low, w_low)
         } else {
-            (&rows_l[piece], &b_high)
+            (&rows_l[piece], &b_high, w_high)
         };
         if cpu_turn {
             cpu_clock += if high {
@@ -561,21 +841,7 @@ fn estimate_phases_on<T: Scalar>(
                 lh_blocked_total * piece_nnz / lh_nnz.max(1.0)
             };
         } else {
-            gpu_clock += if high {
-                gpu.spmm_cost_planned(a, b, rows.iter().copied(), Some(mask), &w_low)
-            } else {
-                let w = w_high.get_or_insert_with(|| {
-                    masked_output_widths_for_pooled(
-                        a,
-                        b,
-                        Some(&b_high),
-                        &rows_l,
-                        &serial,
-                        &ctx.workspaces,
-                    )
-                });
-                gpu.spmm_cost_planned(a, b, rows.iter().copied(), Some(mask), w)
-            };
+            gpu_clock += gpu.spmm_cost_planned(a, b, rows.iter().copied(), Some(mask), widths);
         }
     }
     (c2.max(g2), cpu_clock.max(gpu_clock))

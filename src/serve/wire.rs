@@ -166,13 +166,51 @@ fn parse_policy(value: Option<&Json>) -> Result<ThresholdPolicy, String> {
             Ok(ThresholdPolicy::Fixed { t_a, t_b })
         }
         "balanced" => Ok(ThresholdPolicy::Balanced {
-            candidates: value.usize_field("candidates").unwrap_or(10),
+            candidates: parse_candidates(value)?,
         }),
         "empirical" => Ok(ThresholdPolicy::Empirical {
-            candidates: value.usize_field("candidates").unwrap_or(10),
+            candidates: parse_candidates(value)?,
         }),
         other => Err(format!("unknown policy kind {other:?}")),
     }
+}
+
+/// Most threshold candidates a request may ask Phase I to weigh.
+const MAX_CANDIDATES: usize = 1024;
+
+/// A policy's `candidates` (default 10): the search needs at least one,
+/// and the balanced scan allocates one slot per candidate.
+fn parse_candidates(value: &Json) -> Result<usize, String> {
+    let candidates = value.usize_field("candidates").unwrap_or(10);
+    if (1..=MAX_CANDIDATES).contains(&candidates) {
+        Ok(candidates)
+    } else {
+        Err(format!(
+            "policy \"candidates\" must be between 1 and {MAX_CANDIDATES}, got {candidates}"
+        ))
+    }
+}
+
+/// Reject `gen` parameters the power-law generator cannot honour, before
+/// they reach its assertions.
+fn check_gen(nrows: usize, nnz: usize, alpha: f64) -> Result<(), String> {
+    if nrows == 0 {
+        return Err("gen needs \"nrows\" of at least 1".into());
+    }
+    if nnz == 0 {
+        return Err("gen needs \"nnz\" of at least 1".into());
+    }
+    if nrows.checked_mul(nrows).is_some_and(|cap| nnz > cap) {
+        return Err(format!(
+            "gen \"nnz\" {nnz} exceeds nrows² for nrows {nrows}"
+        ));
+    }
+    if !(alpha.is_finite() && alpha > 1.0) {
+        return Err(format!(
+            "gen \"alpha\" must be a finite number above 1, got {alpha}"
+        ));
+    }
+    Ok(())
 }
 
 /// Parse one multiply item (the `multiply` op body or one `batch` entry).
@@ -253,6 +291,9 @@ pub fn handle_request(service: &SpmmService, request: &Json) -> Json {
                 return bad_request("gen needs \"nrows\" and \"nnz\"");
             };
             let alpha = request.get("alpha").and_then(Json::as_f64).unwrap_or(2.5);
+            if let Err(msg) = check_gen(nrows, nnz, alpha) {
+                return bad_request(msg);
+            }
             let seed = request.usize_field("seed").unwrap_or(0) as u64;
             let scale = request.usize_field("scale").unwrap_or(1);
             let reply =
@@ -462,6 +503,25 @@ mod tests {
                 "unknown_matrix",
             ),
             (r#"{"op":"load_dataset","name":"nope"}"#, "bad_request"),
+            (
+                r#"{"op":"multiply","a":"x","b":"x","policy":{"kind":"empirical","candidates":0}}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"multiply","a":"x","b":"x","policy":{"kind":"balanced","candidates":5000}}"#,
+                "bad_request",
+            ),
+            (r#"{"op":"gen","nrows":0,"nnz":10}"#, "bad_request"),
+            (r#"{"op":"gen","nrows":10,"nnz":0}"#, "bad_request"),
+            (r#"{"op":"gen","nrows":10,"nnz":101}"#, "bad_request"),
+            (
+                r#"{"op":"gen","nrows":10,"nnz":50,"alpha":1}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"gen","nrows":10,"nnz":50,"alpha":0.5}"#,
+                "bad_request",
+            ),
             (r#"{"op":"multiply","a":"x"}"#, "bad_request"),
             (
                 r#"{"op":"multiply","a":"x","b":"x","policy":{"kind":"warp"}}"#,
