@@ -2,13 +2,12 @@
 
 use spmm_sparse::{AccumStrategy, CsrMatrix, Scalar};
 
-use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes};
-use spmm_workqueue::{End, RangeQueue};
+use spmm_hetsim::{PhaseBreakdown, PhaseTimes};
 
 use crate::context::HeteroContext;
-use crate::kernels::rows_where;
+use crate::plan::{plan_claims, ClaimPlan, Split};
 use crate::result::SpmmOutput;
-use crate::schedule::{self, ClaimSchedule, ExecConfig, ExecPolicy, ScheduledClaim};
+use crate::schedule::{self, ExecConfig, ExecPolicy};
 use crate::threshold::{self, Phase1Plan, ThresholdPolicy};
 use crate::units::WorkUnitConfig;
 
@@ -39,14 +38,15 @@ impl HhCpuConfig {
 
 /// Everything Phase I computes for one `(A, B, policy)` triple that is
 /// worth keeping across repeated multiplies of the same operands: the
-/// [`Phase1Plan`] (thresholds, Boolean masks, symbolic row-size structures)
-/// and the masked GPU width tables. Building this is the dominant
-/// non-numeric cost of a run — the empirical threshold search alone
-/// evaluates the full device cost models once per ladder candidate — so a
-/// serve layer caches it keyed by content hash and hands warm requests to
-/// [`hh_cpu_with_artifacts`], which is bit-identical to a cold [`hh_cpu`]
-/// by construction (it runs exactly the same code on the same values; only
-/// the wall-clock work of *recomputing* them is skipped).
+/// [`Phase1Plan`] (thresholds, Boolean masks, symbolic row-size structures),
+/// the masked GPU width tables, and the Phase II/III [`ClaimPlan`] of the
+/// picked thresholds. Building this is the dominant non-numeric cost of a
+/// run — the empirical threshold search alone plans Phases II and III once
+/// per ladder candidate — so a serve layer caches it keyed by content hash
+/// and hands warm requests to [`hh_cpu_with_artifacts`], which is
+/// bit-identical to a cold [`hh_cpu`] by construction (it consumes the same
+/// values a cold run computes; only the wall-clock work of *recomputing*
+/// them is skipped).
 #[derive(Debug)]
 pub struct SpmmArtifacts {
     /// The threshold policy the plan was built under (cache-key sanity).
@@ -60,25 +60,31 @@ pub struct SpmmArtifacts {
     /// rows) — serves the GPU's `A_L × B_H` claims when it drains the
     /// CPU's queue end.
     pub w_high: Vec<u32>,
+    /// The Phase II/III plan on cold devices of the build context's
+    /// platform with adaptive grains. `None` for a row band, which plans
+    /// its own rows when it runs.
+    pub claims: Option<ClaimPlan>,
 }
 
 impl SpmmArtifacts {
     /// Run Phase I — the cold-path work that [`hh_cpu`] performs on every
-    /// call and a serve layer performs once per `(A, B, policy)`. Both
-    /// width tables are the ones Phase I's ladder pass already built for
-    /// the picked thresholds; no width pass runs here.
+    /// call and a serve layer performs once per `(A, B, policy)`. The
+    /// empirical search already built the width tables and the claim plan
+    /// for every candidate, so the winner's are kept; the `Fixed` and
+    /// `Balanced` policies build them once for their thresholds.
     pub fn build<T: Scalar>(
         ctx: &HeteroContext,
         a: &CsrMatrix<T>,
         b: &CsrMatrix<T>,
         policy: ThresholdPolicy,
     ) -> Self {
-        let (plan, w_low, w_high) = threshold::identify_plan_with_widths(ctx, a, b, policy);
+        let (plan, w_low, w_high, claims) = threshold::identify_plan_with_claims(ctx, a, b, policy);
         Self {
             policy,
             plan,
             w_low,
             w_high,
+            claims: Some(claims),
         }
     }
 
@@ -95,7 +101,8 @@ impl SpmmArtifacts {
     /// to the monolithic run — re-running Phase I per band would not
     /// (per-band thresholds would reclassify rows). A row's widths depend
     /// only on its own sources and the global masks, so the sliced tables
-    /// are exactly the band's own.
+    /// are exactly the band's own. The band's claim schedule is its own
+    /// too, so it carries no plan.
     pub fn for_row_band<T: Scalar>(
         &self,
         rows: std::ops::Range<usize>,
@@ -123,6 +130,7 @@ impl SpmmArtifacts {
             plan,
             w_low: self.w_low[rows.clone()].to_vec(),
             w_high: self.w_high[rows].to_vec(),
+            claims: None,
         }
     }
 
@@ -132,7 +140,8 @@ impl SpmmArtifacts {
         let masks = plan.thresholds.a_high.len() + plan.thresholds.b_high.len();
         let syms = plan.sym_a.byte_size() + plan.sym_b.as_ref().map_or(0, |s| s.byte_size());
         let widths = (self.w_low.len() + self.w_high.len()) * 4;
-        masks + syms + widths + std::mem::size_of::<Self>()
+        let claims = self.claims.as_ref().map_or(0, ClaimPlan::heap_bytes);
+        masks + syms + widths + claims + std::mem::size_of::<Self>()
     }
 }
 
@@ -158,6 +167,13 @@ pub fn hh_cpu<T: Scalar>(
 /// same thresholds — because Phase I is deterministic in `(A, B, policy)`
 /// and everything after it consumes the plan by value.
 ///
+/// The stored [`ClaimPlan`] is used when it was planned under this
+/// call's platform and work-unit grains: a cold device of `ctx.platform`
+/// is exactly a reset `ctx` device, so planning again could only repeat
+/// it. Otherwise — explicit `config.units`, a context on another
+/// platform, or a row band's artifacts — the call plans on `ctx`'s reset
+/// devices.
+///
 /// The caller is responsible for passing artifacts built for these exact
 /// operands and `config.policy` (a content-hash-keyed cache makes that
 /// structural); the policy is cross-checked as a cheap guard.
@@ -181,8 +197,8 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
 
     // ---- Phase I: thresholds + Boolean row classification, from the
     // (possibly cached) plan. The plan keeps the symbolic row-size
-    // structures, so every Phase III mean and nnz total below is a
-    // prefix-sum lookup, not a CSR rescan. ----
+    // structures, so the split below reads cached size arrays and prefix
+    // sums, not the CSR. ----
     let plan = &artifacts.plan;
     let th = &plan.thresholds;
     let phase1 = PhaseTimes::new(
@@ -201,176 +217,38 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
     };
     let mut transfer_ns = ctx.link.transfer_ns(row_meta_bytes + matrix_bytes);
 
-    let b_low: Vec<bool> = th.b_high.iter().map(|&h| !h).collect();
-    let rows_ah = rows_where(&th.a_high, true);
-    let rows_al = rows_where(&th.a_high, false);
+    // ---- Phases II and III: the stored plan, or a fresh one on the reset
+    // devices (see `plan::plan_claims`). ----
+    let split = Split::new(&plan.sym_a, th.t_a, plan.sym_b(), th.t_b);
     // Work-unit grains: the paper's fixed 1000/10000 rows at full scale, or
     // sized to the actual H/L row lists so the queue always holds enough
     // units for the endgame to balance (the last unit bounds the final
     // clock gap between the devices).
-    let units = config
-        .units
-        .unwrap_or_else(|| WorkUnitConfig::adaptive(rows_al.len(), rows_ah.len()));
-
-    // Width tables for the planned GPU costing, built by Phase I: the B_L
-    // table serves the Phase II product (A_L rows) and the GPU's A_H × B_L
-    // claims; the B_H table serves its A_L × B_H claims.
-    let (w_low, w_high) = (&artifacts.w_low, &artifacts.w_high);
-
-    // ---- Phase II: A_H × B_H on CPU ∥ A_L × B_L on GPU. The CPU side
-    // runs the cache-blocked kernel of §III-B (B_H tiled through L2). ----
-    let cpu2 = ctx
-        .cpu
-        .spmm_cost_blocked(a, b, rows_ah.iter().copied(), Some(&th.b_high));
-    let gpu2 = ctx
-        .gpu
-        .spmm_cost_planned(a, b, rows_al.iter().copied(), Some(&b_low), w_low);
-    let phase2 = PhaseTimes::new(cpu2, gpu2);
-
-    // ---- Phase III: A_L × B_H and A_H × B_L through the double-ended
-    // workqueue (§III-C): "on the CPU end of the queue, we fill the queue
-    // with work-units corresponding to the product A_L × B_H and on the
-    // GPU end … A_H × B_L"; a device moves to the other product only
-    // "after finishing" its own. Work-unit sizes follow §IV-B, converted
-    // from the paper's row counts into a nonzero budget so a claim of
-    // dense A_H rows is as small (in rows) as it is heavy (per row). The
-    // simulation is event-driven: whichever device's clock is behind
-    // claims next, so the clocks stay near-equal — the load balance the
-    // queue exists for. ----
-    let hd_b = th.hd_rows_b();
-    let ld_b = b.nrows() - hd_b;
-    // Means and totals from the Phase I prefix sums: integer sums over the
-    // same row sets the old CSR walks covered, so every derived f64 is
-    // bit-identical — one binary search instead of an O(rows) rescan.
-    let sym_a = &plan.sym_a;
-    let mean_al = if rows_al.is_empty() {
-        0.0
-    } else {
-        sym_a.ld_nnz(th.t_a) as f64 / rows_al.len() as f64
-    };
-    let mean_ah = if rows_ah.is_empty() {
-        0.0
-    } else {
-        sym_a.hd_nnz(th.t_a) as f64 / rows_ah.len() as f64
-    };
-    // The CPU's A_L × B_H work is one cache-blocked tiling pass shared by
-    // all of its claims (consecutive rows off the same end continue the
-    // pass), so the pass is costed once and claims are charged their nnz
-    // share of it.
-    let lh_nnz: f64 = sym_a.ld_nnz(th.t_a) as f64;
-    // Per-claim nnz shares come from one prefix-sum array over the A_L
-    // list (claims are contiguous ranges of it).
-    let mut al_prefix: Vec<u64> = Vec::with_capacity(rows_al.len() + 1);
-    al_prefix.push(0);
-    for &i in &rows_al {
-        al_prefix.push(al_prefix.last().unwrap() + sym_a.row_size(i) as u64);
-    }
-    let lh_blocked_total = if hd_b > 0 && !rows_al.is_empty() {
-        ctx.cpu
-            .spmm_cost_blocked(a, b, rows_al.iter().copied(), Some(&th.b_high))
-    } else {
-        0.0
-    };
-    // structurally-zero products are not enqueued at all
-    let lh_queue = RangeQueue::new(if hd_b > 0 { rows_al.len() } else { 0 });
-    let hl_queue = RangeQueue::new(if ld_b > 0 { rows_ah.len() } else { 0 });
-    let cpu_claim_nnz = (units.cpu_rows as f64 * mean_al).max(1.0);
-    let gpu_claim_nnz = (units.gpu_rows as f64 * mean_ah).max(1.0);
-    let grain = |claim_nnz: f64, mean: f64| ((claim_nnz / mean.max(1.0)) as usize).max(1);
-
-    let mut cpu_claims: Vec<ScheduledClaim<'_>> = Vec::new();
-    let mut gpu_claims: Vec<ScheduledClaim<'_>> = Vec::new();
-    let mut cpu_clock = 0.0f64;
-    let mut gpu_clock = 0.0f64;
-    loop {
-        let cpu_turn = cpu_clock <= gpu_clock;
-        // own product first, then help the other end
-        let claim = if cpu_turn {
-            lh_queue
-                .claim(End::Front, grain(cpu_claim_nnz, mean_al))
-                .map(|r| (r, false))
-                .or_else(|| {
-                    hl_queue
-                        .claim(End::Front, grain(cpu_claim_nnz, mean_ah))
-                        .map(|r| (r, true))
-                })
-        } else {
-            hl_queue
-                .claim(End::Back, grain(gpu_claim_nnz, mean_ah))
-                .map(|r| (r, true))
-                .or_else(|| {
-                    lh_queue
-                        .claim(End::Back, grain(gpu_claim_nnz, mean_al))
-                        .map(|r| (r, false))
-                })
-        };
-        let Some((piece, high_rows)) = claim else {
-            break;
-        };
-        let (rows, b_mask): (&[usize], &[bool]) = if high_rows {
-            (&rows_ah[piece.clone()], &b_low)
-        } else {
-            (&rows_al[piece.clone()], &th.b_high)
-        };
-        if cpu_turn {
-            // B_H-side products stay cache-blocked on the CPU (the claim's
-            // share of the single tiling pass); when the CPU helps with
-            // the GPU end (A_H × B_L) the B operand is scattered and the
-            // streaming kernel is the right model.
-            let ns = if high_rows {
-                ctx.cpu.spmm_cost(a, b, rows.iter().copied(), Some(b_mask))
-            } else {
-                let piece_nnz = (al_prefix[piece.end] - al_prefix[piece.start]) as f64;
-                lh_blocked_total * piece_nnz / lh_nnz.max(1.0)
-            };
-            cpu_clock += ns;
-            cpu_claims.push(ScheduledClaim {
-                device: DeviceKind::Cpu,
-                rows,
-                b_mask: Some(b_mask),
-                sim_ns: ns,
-            });
-        } else {
-            let widths = if high_rows { w_low } else { w_high };
-            let ns = ctx
-                .gpu
-                .spmm_cost_planned(a, b, rows.iter().copied(), Some(b_mask), widths);
-            gpu_clock += ns;
-            gpu_claims.push(ScheduledClaim {
-                device: DeviceKind::Gpu,
-                rows,
-                b_mask: Some(b_mask),
-                sim_ns: ns,
-            });
+    let units = split.units(config.units);
+    let planned;
+    let claims = match &artifacts.claims {
+        Some(stored) if stored.platform == ctx.platform && stored.units == units => stored,
+        _ => {
+            planned = plan_claims(
+                &mut ctx.cpu,
+                &mut ctx.gpu,
+                ctx.platform,
+                a,
+                b,
+                &split,
+                units,
+                (&artifacts.w_low, &artifacts.w_high),
+            );
+            &planned
         }
-    }
-    let phase3 = PhaseTimes::new(cpu_clock, gpu_clock);
+    };
 
     // ---- Execute: all scheduled numeric work in one batched pass (or the
-    // per-claim reference, per `config.exec`). Claims go in block order —
-    // each device's Phase II product first, then its Phase III claims in
-    // claim order — exactly the order the pre-split code pushed its
-    // RowBlocks, which fixes the merge's floating-point summation. ----
-    let mut claims = Vec::with_capacity(2 + cpu_claims.len() + gpu_claims.len());
-    claims.push(ScheduledClaim {
-        device: DeviceKind::Cpu,
-        rows: &rows_ah,
-        b_mask: Some(&th.b_high),
-        sim_ns: cpu2,
-    });
-    claims.extend(cpu_claims);
-    claims.push(ScheduledClaim {
-        device: DeviceKind::Gpu,
-        rows: &rows_al,
-        b_mask: Some(&b_low),
-        sim_ns: gpu2,
-    });
-    claims.extend(gpu_claims);
-    let sched = ClaimSchedule { claims };
+    // per-claim reference, per `config.exec`), in the plan's block order. ----
     let (c, counts) = schedule::execute(
         a,
         b,
-        &sched,
+        &claims.schedule(&split),
         (a.nrows(), b.ncols()),
         &ctx.pool,
         &ctx.workspaces,
@@ -399,8 +277,8 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
         c,
         profile: PhaseBreakdown {
             phase1,
-            phase2,
-            phase3,
+            phase2: claims.phase2,
+            phase3: claims.phase3,
             phase4,
             transfer_ns,
         },

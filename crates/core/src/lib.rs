@@ -9,10 +9,10 @@
 //!
 //! * **Phase I** ([`threshold`]) — pick the density thresholds `t_A`, `t_B`
 //!   and classify rows (Boolean array, computed on the GPU).
-//! * **Phase II** ([`hhcpu`]) — `A_H × B_H` on the CPU (cache blocking)
+//! * **Phase II** ([`plan`]) — `A_H × B_H` on the CPU (cache blocking)
 //!   overlapped with `A_L × B_L` on the GPU (warp-per-row).
-//! * **Phase III** — `A_L × B_H` and `A_H × B_L` balanced through the
-//!   double-ended work queue (`spmm-workqueue`).
+//! * **Phase III** ([`plan`]) — `A_L × B_H` and `A_H × B_L` balanced
+//!   through the double-ended work queue (`spmm-workqueue`).
 //! * **Phase IV** ([`merge`]) — merge all `⟨r, c, v⟩` tuples into the
 //!   output CSR (sort → mark → scan → segmented add).
 //!
@@ -33,6 +33,7 @@ pub mod hhcpu;
 pub mod hipc2012;
 pub mod kernels;
 pub mod merge;
+pub mod plan;
 pub mod result;
 pub mod schedule;
 pub mod shard;
@@ -45,6 +46,7 @@ pub mod wq_baselines;
 pub use context::HeteroContext;
 pub use hhcpu::{hh_cpu, hh_cpu_with_artifacts, HhCpuConfig, SpmmArtifacts};
 pub use hipc2012::{hipc2012, hipc2012_with};
+pub use plan::{ClaimPlan, PlannedClaim};
 pub use result::SpmmOutput;
 pub use schedule::{ClaimSchedule, ExecConfig, ExecCounts, ExecPolicy, ScheduledClaim};
 pub use shard::{

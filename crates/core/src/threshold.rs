@@ -14,14 +14,16 @@
 //!   techniques to identify the threshold" the paper lists as future work
 //!   — §VI).
 //! * [`ThresholdPolicy::Empirical`] — the default and the paper's method:
-//!   dry-run the device cost models for every threshold of a log-spaced
-//!   ladder and keep the cheapest. Every candidate's GPU width tables come
-//!   from one [`LadderWidths`] pass, which the winner hands on to the run.
+//!   plan Phases II and III on the device cost models for every threshold
+//!   of a log-spaced ladder and keep the cheapest. Every candidate's GPU
+//!   width tables come from one [`LadderWidths`] pass; the winner hands its
+//!   tables and its [`ClaimPlan`] on to the run.
 
 use spmm_parallel::{DisjointSlice, ThreadPool};
 use spmm_sparse::{ColIndex, CsrMatrix, RowHistogram, Scalar};
 
 use crate::context::HeteroContext;
+use crate::plan::{plan_claims_fresh, ClaimPlan, Split};
 
 /// How Phase I picks the thresholds `t_A` and `t_B`. `Eq`/`Hash` are
 /// derived (every variant is integer-parameterised) so a policy can key a
@@ -115,40 +117,46 @@ pub fn identify_plan<T: Scalar>(
     search(ctx, a, b, policy).0
 }
 
-/// [`identify_plan`] plus the GPU output-width tables of the picked
-/// thresholds: `w_low` under the `B_L` mask for every A row, and `w_high`
-/// under the `B_H` mask for the `A_L` rows (0 on `A_H` rows). The
-/// empirical search already built every candidate's tables in its one
-/// ladder pass, so the winner's are handed over rather than rebuilt; the
-/// `Fixed` and `Balanced` policies run the same pass over a one-entry
-/// ladder. Either way the tables are byte-equal to
-/// `masked_output_widths{,_for}` under the same masks.
-pub(crate) fn identify_plan_with_widths<T: Scalar>(
+/// [`identify_plan`] plus what the run after it needs from Phase I: the
+/// GPU output-width tables of the picked thresholds — `w_low` under the
+/// `B_L` mask for every A row, and `w_high` under the `B_H` mask for the
+/// `A_L` rows (0 on `A_H` rows) — and the Phase II/III [`ClaimPlan`] on
+/// fresh devices of `ctx.platform` with adaptive grains. The empirical
+/// search already built every candidate's tables in its one ladder pass
+/// and planned every candidate, so the winner's tables and plan are handed
+/// over rather than rebuilt; the `Fixed` and `Balanced` policies run the
+/// same pass over a one-entry ladder and plan once. Either way the tables
+/// are byte-equal to `masked_output_widths{,_for}` under the same masks.
+pub(crate) fn identify_plan_with_claims<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     policy: ThresholdPolicy,
-) -> (Phase1Plan, Vec<u32>, Vec<u32>) {
+) -> (Phase1Plan, Vec<u32>, Vec<u32>, ClaimPlan) {
     let (plan, searched) = search(ctx, a, b, policy);
-    let (widths, j) = searched.unwrap_or_else(|| {
-        let th = &plan.thresholds;
-        (
-            LadderWidths::build(a, b, &[th.t_a], &[th.t_b], &ctx.pool),
-            0,
-        )
-    });
+    let (widths, j, claims) = match searched {
+        Some(winner) => winner,
+        None => {
+            let th = &plan.thresholds;
+            let widths = LadderWidths::build(a, b, &[th.t_a], &[th.t_b], &ctx.pool);
+            let split = Split::new(&plan.sym_a, th.t_a, plan.sym_b(), th.t_b);
+            let tables = (widths.low(0), widths.high(0));
+            let claims = plan_claims_fresh(ctx.platform, a, b, &split, tables);
+            (widths, 0, claims)
+        }
+    };
     let (w_low, w_high) = (widths.low(j).to_vec(), widths.high(j).to_vec());
-    (plan, w_low, w_high)
+    (plan, w_low, w_high, claims)
 }
 
 /// Phase I proper. The empirical policy also returns the ladder tables it
-/// costed its candidates against, with the winner's index.
+/// costed its candidates against, with the winner's index and plan.
 fn search<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     policy: ThresholdPolicy,
-) -> (Phase1Plan, Option<(LadderWidths, usize)>) {
+) -> (Phase1Plan, Option<(LadderWidths, usize, ClaimPlan)>) {
     let sym_a = SymbolicStructure::from_matrix(a);
     let sym_b = if std::ptr::eq(a, b) {
         None
@@ -654,21 +662,21 @@ pub fn empirical_ladder(max_row_nnz: usize, candidates: usize) -> Vec<usize> {
 }
 
 /// The paper's empirical Phase I search: for each candidate threshold,
-/// evaluate the device cost models on the four partial products (fresh
-/// device state per candidate) and keep the candidate with the smallest
-/// estimated total. One threshold is used for both matrices, as in the
-/// paper's per-matrix experiments (Figure 5 annotates a single threshold).
+/// plan Phases II and III on the device cost models (fresh device state
+/// per candidate) and keep the candidate with the smallest estimated
+/// total. One threshold is used for both matrices, as in the paper's
+/// per-matrix experiments (Figure 5 annotates a single threshold).
 ///
 /// Every candidate's width tables come from one [`LadderWidths`] pass on
 /// the host pool before the ladder fans out; candidates then only borrow
-/// their slices. The fan-out gives every candidate its own freshly cloned
-/// devices (no shared mutable state), the candidate costs come back in
+/// their slices. The fan-out gives every candidate its own freshly built
+/// devices (no shared mutable state), the candidate plans come back in
 /// ladder order, and the argmin is taken serially with a strict `<` — so
-/// the picked `t` and its estimated cost are bit-identical for every host
-/// thread count.
+/// the picked `t` and its plan are bit-identical for every host thread
+/// count.
 ///
-/// Returns the pick plus the ladder tables and the pick's index in them
-/// (`None` when no candidate beat the `t = 1` fallback).
+/// Returns the pick plus the ladder tables, the pick's index in them and
+/// its plan (`None` when no candidate beat the `t = 1` fallback).
 fn empirical_threshold<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
@@ -676,32 +684,32 @@ fn empirical_threshold<T: Scalar>(
     candidates: usize,
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
-) -> (usize, Option<(LadderWidths, usize)>) {
+) -> (usize, Option<(LadderWidths, usize, ClaimPlan)>) {
     // The single shared `t` classifies *both* matrices, so for A ≠ B
     // products (the Figure 10 workload) the ladder must span whichever
     // tail is longer — building it from A alone would leave B's hub rows
     // unexplored.
     let ladder = empirical_ladder(sym_a.max_row_nnz().max(sym_b.max_row_nnz()), candidates);
     let widths = LadderWidths::build(a, b, &ladder, &ladder, &ctx.pool);
-    let totals = ctx.pool.par_map(ladder.len(), |k| {
-        let (w_low, w_high) = (widths.low(k), widths.high(k));
-        let (p2, p3) = dry_run(ctx, a, b, ladder[k], sym_a, sym_b, w_low, w_high);
-        p2 + p3
+    let plans = ctx.pool.par_map(ladder.len(), |k| {
+        let split = Split::new(sym_a, ladder[k], sym_b, ladder[k]);
+        let tables = (widths.low(k), widths.high(k));
+        plan_claims_fresh(ctx.platform, a, b, &split, tables)
     });
     let mut best = (f64::INFINITY, 1usize, None);
-    for (k, total) in totals.into_iter().enumerate() {
+    for (k, plan) in plans.into_iter().enumerate() {
+        let total = plan.phase2.wall() + plan.phase3.wall();
         if total < best.0 {
-            best = (total, ladder[k], Some(k));
+            best = (total, ladder[k], Some((k, plan)));
         }
     }
-    (best.1, best.2.map(|k| (widths, k)))
+    (best.1, best.2.map(|(k, plan)| (widths, k, plan)))
 }
 
-/// Cost-model-only dry run of Phases II and III for threshold `t` —
-/// identical structure to `hh_cpu` (overlapped Phase II, event-driven
-/// double-ended queue in Phase III) but with fresh cloned devices and no
-/// numeric work. Returns the estimated total (`phase II wall + phase III
-/// wall`).
+/// Cost-model-only estimate of Phases II and III for threshold `t` — the
+/// [`plan_claims`](crate::plan::plan_claims) event loop `hh_cpu` runs, on fresh cold devices and
+/// with no numeric work. Returns the estimated total (`phase II wall +
+/// phase III wall`).
 pub fn estimate_run<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
@@ -732,10 +740,10 @@ pub fn estimate_phases<T: Scalar>(
 }
 
 /// [`estimate_phases`] against precomputed symbolic structures: every
-/// classification aggregate (row lists, masks, HD counts, mean row sizes,
-/// nnz totals) is derived from `sym_a`/`sym_b` — `O(log n)` lookups plus
-/// one sweep of the cached size arrays — instead of re-scanning the CSR
-/// per candidate. Pass the same structure twice for the self-product.
+/// classification aggregate (row lists, masks, mean row sizes, nnz totals)
+/// is derived from `sym_a`/`sym_b` — `O(log n)` lookups plus one sweep of
+/// the cached size arrays — instead of re-scanning the CSR per candidate.
+/// Pass the same structure twice for the self-product.
 ///
 /// GPU claims are costed through [`GpuDevice::spmm_cost_planned`] against
 /// the width tables of a one-entry [`LadderWidths`] pass on the host pool
@@ -751,100 +759,10 @@ pub fn estimate_phases_with<T: Scalar>(
     sym_b: &SymbolicStructure,
 ) -> (f64, f64) {
     let widths = LadderWidths::build(a, b, &[t], &[t], &ctx.pool);
-    dry_run(ctx, a, b, t, sym_a, sym_b, widths.low(0), widths.high(0))
-}
-
-/// The dry run of [`estimate_phases_with`] on fresh cold devices, against
-/// borrowed width tables for `t`: `w_low` under the `B_L` mask (every A
-/// row) and `w_high` under the `B_H` mask (the `A_L` rows), as
-/// [`LadderWidths`] lays them out.
-#[allow(clippy::too_many_arguments)]
-fn dry_run<T: Scalar>(
-    ctx: &HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    t: usize,
-    sym_a: &SymbolicStructure,
-    sym_b: &SymbolicStructure,
-    w_low: &[u32],
-    w_high: &[u32],
-) -> (f64, f64) {
-    let mut cpu = spmm_hetsim::CpuDevice::new(ctx.platform.cpu);
-    let mut gpu = spmm_hetsim::GpuDevice::new(ctx.platform.gpu);
-    let (rows_h, rows_l) = sym_a.partition_rows(t);
-    let b_high = sym_b.classify(t);
-    let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
-    let hd_b = sym_b.hd_rows(t);
-    let ld_b = b.nrows() - hd_b;
-
-    let c2 = cpu.spmm_cost_blocked(a, b, rows_h.iter().copied(), Some(&b_high));
-    let g2 = gpu.spmm_cost_planned(a, b, rows_l.iter().copied(), Some(&b_low), w_low);
-
-    // Phase III dry run over the same two-queue, nnz-budgeted discipline
-    // as `hh_cpu`. The means and nnz totals are integer sums over fixed row
-    // sets, so the prefix-sum derivations are bit-identical to a re-scan.
-    let units = crate::units::WorkUnitConfig::adaptive(rows_l.len(), rows_h.len());
-    let mean_al = if rows_l.is_empty() {
-        0.0
-    } else {
-        sym_a.ld_nnz(t) as f64 / rows_l.len() as f64
-    };
-    let mean_ah = if rows_h.is_empty() {
-        0.0
-    } else {
-        sym_a.hd_nnz(t) as f64 / rows_h.len() as f64
-    };
-    let lh_nnz: f64 = sym_a.ld_nnz(t) as f64;
-    let lh_blocked_total = if hd_b > 0 && !rows_l.is_empty() {
-        cpu.spmm_cost_blocked(a, b, rows_l.iter().copied(), Some(&b_high))
-    } else {
-        0.0
-    };
-    let lh_queue = spmm_workqueue::RangeQueue::new(if hd_b > 0 { rows_l.len() } else { 0 });
-    let hl_queue = spmm_workqueue::RangeQueue::new(if ld_b > 0 { rows_h.len() } else { 0 });
-    let cpu_claim_nnz = (units.cpu_rows as f64 * mean_al).max(1.0);
-    let gpu_claim_nnz = (units.gpu_rows as f64 * mean_ah).max(1.0);
-    let grain = |claim_nnz: f64, m: f64| ((claim_nnz / m.max(1.0)) as usize).max(1);
-    let (mut cpu_clock, mut gpu_clock) = (0.0f64, 0.0f64);
-    loop {
-        let cpu_turn = cpu_clock <= gpu_clock;
-        let claim = if cpu_turn {
-            lh_queue
-                .claim(spmm_workqueue::End::Front, grain(cpu_claim_nnz, mean_al))
-                .map(|r| (r, false))
-                .or_else(|| {
-                    hl_queue
-                        .claim(spmm_workqueue::End::Front, grain(cpu_claim_nnz, mean_ah))
-                        .map(|r| (r, true))
-                })
-        } else {
-            hl_queue
-                .claim(spmm_workqueue::End::Back, grain(gpu_claim_nnz, mean_ah))
-                .map(|r| (r, true))
-                .or_else(|| {
-                    lh_queue
-                        .claim(spmm_workqueue::End::Back, grain(gpu_claim_nnz, mean_al))
-                        .map(|r| (r, false))
-                })
-        };
-        let Some((piece, high)) = claim else { break };
-        let (rows, mask, widths): (&[usize], &[bool], &[u32]) = if high {
-            (&rows_h[piece], &b_low, w_low)
-        } else {
-            (&rows_l[piece], &b_high, w_high)
-        };
-        if cpu_turn {
-            cpu_clock += if high {
-                cpu.spmm_cost(a, b, rows.iter().copied(), Some(mask))
-            } else {
-                let piece_nnz: f64 = rows.iter().map(|&i| a.row_nnz(i)).sum::<usize>() as f64;
-                lh_blocked_total * piece_nnz / lh_nnz.max(1.0)
-            };
-        } else {
-            gpu_clock += gpu.spmm_cost_planned(a, b, rows.iter().copied(), Some(mask), widths);
-        }
-    }
-    (c2.max(g2), cpu_clock.max(gpu_clock))
+    let split = Split::new(sym_a, t, sym_b, t);
+    let tables = (widths.low(0), widths.high(0));
+    let plan = plan_claims_fresh(ctx.platform, a, b, &split, tables);
+    (plan.phase2.wall(), plan.phase3.wall())
 }
 
 #[cfg(test)]

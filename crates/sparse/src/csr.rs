@@ -387,34 +387,33 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Deterministic 64-bit content hash over the exact stored
-    /// representation: shape, row pointers, column indices, and the *bit
-    /// patterns* of the values (FNV-1a). Two matrices hash equal iff they
-    /// are `==` as CSR structures — `-0.0` vs `+0.0` and differently-NaN
+    /// representation: shape, field lengths, row pointers, column indices,
+    /// and the *bit patterns* of the values. It is a word-wise hash
+    /// ([`WordHash`]): words are absorbed eight bytes at a time into four
+    /// independent lanes, assigned by position, with column indices packed
+    /// two to a word rather than widened. Every step is a bijection of its
+    /// lane, so a change to any single word (one flipped bit included)
+    /// always changes the hash; `-0.0` vs `+0.0` and differently-NaN
     /// payloads hash differently, which is exactly what a bit-identity
     /// contract wants. This keys the serve layer's matrix registry and
-    /// doubles as a wire-size proof of bit equality for results.
+    /// doubles as a wire-size proof of bit equality for results. The value
+    /// is not persisted anywhere; it may change between versions.
     pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.nrows as u64);
-        mix(self.ncols as u64);
-        for &p in &self.indptr {
-            mix(p as u64);
-        }
-        for &c in &self.indices {
-            mix(c as u64);
-        }
-        for &v in &self.values {
-            mix(v.value_bits());
-        }
-        h
+        let mut h = WordHash::new();
+        let shape = [
+            self.nrows,
+            self.ncols,
+            self.indptr.len(),
+            self.indices.len(),
+            self.values.len(),
+        ];
+        h.absorb(&shape, 1, |n| n[0] as u64);
+        h.absorb(&self.indptr, 1, |p| p[0] as u64);
+        h.absorb(&self.indices, 2, |pair| {
+            pair[0] as u64 | pair.get(1).map_or(0, |&c| (c as u64) << 32)
+        });
+        h.absorb(&self.values, 1, |v| v[0].value_bits());
+        h.finish()
     }
 
     /// Element-wise approximate equality; shapes must match and entries are
@@ -464,6 +463,66 @@ impl<T: Scalar> CsrMatrix<T> {
             }
         }
         true
+    }
+}
+
+/// The word-wise hash behind [`CsrMatrix::content_hash`]: four lanes of
+/// xor-multiply-rotate steps, folded and avalanched at the end. The lanes
+/// are independent dependency chains, so the CPU overlaps their
+/// multiplies and the hash runs at multiplier throughput; lane `k % 4`
+/// takes word `k` of each absorbed stream, never a thread's share, so the
+/// value is the same on every host.
+struct WordHash {
+    lanes: [u64; 4],
+}
+
+impl WordHash {
+    /// Odd, so multiplying by it is a bijection of `u64`.
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new() -> Self {
+        Self {
+            lanes: [
+                0x243f_6a88_85a3_08d3,
+                0x1319_8a2e_0370_7344,
+                0xa409_3822_299f_31d0,
+                0x082e_fa98_ec4e_6c89,
+            ],
+        }
+    }
+
+    /// One step: a bijection of `lane` for a fixed `word` and of `word`
+    /// for a fixed `lane` (xor, multiply by an odd constant, rotate).
+    #[inline(always)]
+    fn step(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(Self::K).rotate_left(29)
+    }
+
+    /// Absorb `items` as one stream of words, each packed from `per`
+    /// consecutive items by `word` (the last word from what remains), word
+    /// `k` into lane `k % 4`.
+    #[inline(always)]
+    fn absorb<E>(&mut self, items: &[E], per: usize, word: impl Fn(&[E]) -> u64) {
+        let mut quads = items.chunks_exact(4 * per);
+        let [l0, l1, l2, l3] = &mut self.lanes;
+        for q in &mut quads {
+            *l0 = Self::step(*l0, word(&q[..per]));
+            *l1 = Self::step(*l1, word(&q[per..2 * per]));
+            *l2 = Self::step(*l2, word(&q[2 * per..3 * per]));
+            *l3 = Self::step(*l3, word(&q[3 * per..]));
+        }
+        for (lane, w) in self.lanes.iter_mut().zip(quads.remainder().chunks(per)) {
+            *lane = Self::step(*lane, word(w));
+        }
+    }
+
+    /// Fold the lanes (each fold step a bijection of the lane folded in)
+    /// and avalanche with the SplitMix64 finaliser.
+    fn finish(self) -> u64 {
+        let mut h = self.lanes.into_iter().fold(0, Self::step);
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
     }
 }
 

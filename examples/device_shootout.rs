@@ -41,7 +41,10 @@ use std::time::Instant;
 use hetero_spmm::core::kernels::{product_tuples, row_products};
 use hetero_spmm::core::merge::{concat_row_blocks, merge_tuples};
 use hetero_spmm::core::shard::io_mode;
-use hetero_spmm::core::{hh_cpu_with_artifacts, threshold, SpmmArtifacts, SymbolicStructure};
+use hetero_spmm::core::{
+    hh_cpu_sharded_with_artifacts, hh_cpu_with_artifacts, threshold, SpmmArtifacts,
+    SymbolicStructure,
+};
 use hetero_spmm::hetsim::{CpuDevice, GpuDevice};
 use hetero_spmm::parallel::ThreadPool;
 use hetero_spmm::prelude::*;
@@ -798,7 +801,11 @@ fn csrmm_perf() -> String {
 /// engine vs an 8-way pooled shard fan-out vs out-of-core shards under a
 /// byte cap that forces disk spills — both the default pipelined
 /// overlap driver and the forced-synchronous fallback
-/// (`SPMM_SHARD_IO_THREADS=0` semantics). Hard-fails unless every
+/// (`SPMM_SHARD_IO_THREADS=0` semantics). `shard_ooc_speedup` is the
+/// in-memory pooled run over the pipelined out-of-core run, both on one
+/// prebuilt `SpmmArtifacts` and the same bands, so both sides do the same
+/// per-band planning and the ratio moves only with the out-of-core
+/// overhead (admission, spill, stitch). Hard-fails unless every
 /// sharded product — both modes, both I/O paths, and every replication
 /// factor — is bit-identical to the monolithic run *before* anything is
 /// timed, and unless the pipelined run's peak resident bytes stay under
@@ -809,9 +816,9 @@ fn csrmm_perf() -> String {
 /// communication/memory trade). Returns the JSON fragment for the CI
 /// artifact.
 fn shard_perf() -> String {
-    // min-of-7: the mono-vs-pipelined ratio gates a 0.95 floor, so the
-    // estimate needs more samples than the other probes to shake off
-    // shared-runner jitter
+    // min-of-7: the pooled-vs-pipelined ratio gates a floor near parity,
+    // so the estimate needs more samples than the other probes to shake
+    // off shared-runner jitter
     let reps = 7;
     let shards = 8;
     let d = Dataset::by_name("scircuit").unwrap();
@@ -865,7 +872,24 @@ fn shard_perf() -> String {
     );
     assert!(ooc_sync.pipe.is_none(), "sync fallback reported pipe stats");
 
+    // the warm pair behind shard_ooc_speedup: one Phase I for both modes
+    let artifacts = SpmmArtifacts::build(&ctx, &a, &a, config.policy);
+    let warm = |ctx: &mut HeteroContext, cfg: &ShardConfig| {
+        hh_cpu_sharded_with_artifacts(ctx, &a, &a, &config, cfg, &artifacts)
+    };
+    io_mode::set_forced(Some(true));
+    for cfg in [&pooled_cfg, &ooc_cfg] {
+        let out = warm(&mut ctx, cfg);
+        assert_eq!(out.output.c, mono.c, "warm {:?} shards changed C", cfg.mode);
+        assert_eq!(
+            out.output.profile, ooc.output.profile,
+            "warm {:?} profile",
+            cfg.mode
+        );
+    }
+
     let (mut mono_ms, mut pooled_ms, mut ooc_ms) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut pooled_warm_ms, mut ooc_warm_ms) = (f64::INFINITY, f64::INFINITY);
     let mut sync_ms = f64::INFINITY;
     let mut best_pipe = *pipe;
     for _ in 0..reps {
@@ -886,6 +910,14 @@ fn shard_perf() -> String {
             best_pipe = run.pipe.expect("pipelined run reports stats");
         }
         std::hint::black_box(run);
+
+        let t0 = Instant::now();
+        std::hint::black_box(warm(&mut ctx, &pooled_cfg));
+        pooled_warm_ms = pooled_warm_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+
+        let t0 = Instant::now();
+        std::hint::black_box(warm(&mut ctx, &ooc_cfg));
+        ooc_warm_ms = ooc_warm_ms.min(t0.elapsed().as_secs_f64() * 1e3);
 
         io_mode::set_forced(Some(false));
         let t0 = Instant::now();
@@ -930,9 +962,12 @@ fn shard_perf() -> String {
         "\nshard-perf (scircuit/32, {shards} nnz-balanced bands, best of {reps}):\n\
          monolithic {mono_ms:.2} ms | pooled {pooled_ms:.2} ms ({:.2}x) | \
          out-of-core piped {ooc_ms:.2} ms / sync {sync_ms:.2} ms ({spilled} spilled)\n\
+         prebuilt artifacts: pooled {pooled_warm_ms:.2} ms | out-of-core piped \
+         {ooc_warm_ms:.2} ms ({:.2}x)\n\
          pipeline: {} workers | spill-thread idle {:.2} ms | admit wait {:.2} ms | \
          peak resident {:.2} MB (cap {:.2} MB + band {:.2} MB)",
         mono_ms / pooled_ms,
+        pooled_warm_ms / ooc_warm_ms,
         best_pipe.workers,
         best_pipe.spill_wait_ns as f64 / 1e6,
         best_pipe.admit_wait_ns as f64 / 1e6,
@@ -975,6 +1010,8 @@ fn shard_perf() -> String {
          \"shard_mono_ms\": {mono_ms:.4},\n  \
          \"shard_pooled_ms\": {pooled_ms:.4},\n  \
          \"shard_ooc_ms\": {ooc_ms:.4},\n  \
+         \"shard_pooled_warm_ms\": {pooled_warm_ms:.4},\n  \
+         \"shard_ooc_warm_ms\": {ooc_warm_ms:.4},\n  \
          \"shard_pooled_speedup\": {:.4},\n  \
          \"shard_ooc_speedup\": {:.4},\n  \
          \"shard_pipe_sync_ms\": {sync_ms:.4},\n  \
@@ -983,7 +1020,7 @@ fn shard_perf() -> String {
          \"shard_pipe_budget_ok\": 1,\n  \
          \"shard_link_monotone\": 1,\n{}",
         ooc_ms / pooled_ms,
-        mono_ms / ooc_ms,
+        pooled_warm_ms / ooc_warm_ms,
         best_pipe.spill_wait_ns as f64 / 1e6,
         best_pipe.peak_resident_bytes as f64 / 1e6,
         link_keys.join(",\n"),

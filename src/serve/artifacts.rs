@@ -1,12 +1,13 @@
 //! Per-`(A, B, policy, scale)` cache of Phase-I artifacts.
 //!
 //! One [`SpmmArtifacts`] (thresholds, Boolean masks, symbolic structures,
-//! masked GPU width tables) is the entire non-numeric preprocessing of an
-//! HH-CPU run — the empirical threshold search alone costs ~10 cost-model
-//! dry runs. A warm request fetches the `Arc` and goes straight to the
-//! phases, skipping Phase I's host-side work entirely while still being
-//! charged its *simulated* nanoseconds, so the reply is bit-identical to a
-//! cold single-shot run.
+//! masked GPU width tables, the Phase II/III claim plan) is the entire
+//! non-numeric preprocessing of an HH-CPU run — the empirical threshold
+//! search alone plans Phases II and III ~10 times. A warm request fetches
+//! the `Arc` and goes straight to the numeric work, skipping Phase I's
+//! and the plan's host-side work entirely while still being charged their
+//! *simulated* nanoseconds, so the reply is bit-identical to a cold
+//! single-shot run.
 //!
 //! The key includes the platform scale because thresholds are picked by
 //! the device cost models: the same operands on a differently scaled
@@ -226,6 +227,31 @@ mod tests {
         assert!(cache.get(&key(3, 1)).is_none());
         assert!(cache.get(&key(4, 5)).is_some());
         assert_eq!(cache.stats().purged, 2);
+    }
+
+    #[test]
+    fn cached_bytes_include_the_stored_plan() {
+        // big enough for the picked split to leave Phase III work
+        let ctx = HeteroContext::scaled(16).with_host_threads(1);
+        let a = scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(4_000, 32_000, 2.2, 8));
+        let art = Arc::new(SpmmArtifacts::build(
+            &ctx,
+            &a,
+            &a,
+            ThresholdPolicy::default(),
+        ));
+        let claims = art.claims.as_ref().expect("built artifacts carry a plan");
+        assert!(claims.heap_bytes() > 0, "the plan holds Phase III claims");
+        let p1 = &art.plan;
+        let masks = p1.thresholds.a_high.len() + p1.thresholds.b_high.len();
+        let syms = p1.sym_a.byte_size() + p1.sym_b.as_ref().map_or(0, |s| s.byte_size());
+        let widths = (art.w_low.len() + art.w_high.len()) * 4;
+        let without_plan = masks + syms + widths + std::mem::size_of::<SpmmArtifacts>();
+        assert_eq!(art.byte_size(), without_plan + claims.heap_bytes());
+
+        let cache = ArtifactCache::new(usize::MAX);
+        cache.insert(key(1, 1), art.clone());
+        assert_eq!(cache.stats().bytes, art.byte_size());
     }
 
     #[test]

@@ -39,6 +39,18 @@ pub fn write_frame<W: Write>(writer: &mut W, value: &Json) -> io::Result<()> {
 /// Read one frame. `Ok(None)` on clean EOF (no bytes of a next frame);
 /// mid-frame EOF, oversized lengths, and malformed JSON are errors.
 pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Json>> {
+    let Some(payload) = read_payload(reader)? else {
+        return Ok(None);
+    };
+    parse_payload(&payload)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Read one frame's payload bytes. `Ok(None)` on clean EOF; mid-frame EOF
+/// and oversized lengths are errors, since the stream has lost its
+/// framing.
+fn read_payload<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -62,11 +74,28 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Json>> {
     }
     let mut payload = vec![0u8; len];
     reader.read_exact(&mut payload)?;
-    let text = std::str::from_utf8(&payload)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    json::parse(text)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    Ok(Some(payload))
+}
+
+/// One payload as a JSON document.
+fn parse_payload(payload: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| "frame is not UTF-8".to_string())?;
+    json::parse(text).map_err(|e| e.to_string())
+}
+
+/// Answer one frame payload: a payload that is not a JSON document (bad
+/// UTF-8, malformed, nested past [`json::MAX_DEPTH`]) gets a
+/// `bad_request` reply like any other bad request — its frame was read
+/// whole, so the session keeps its framing. Returns the reply and whether
+/// the request asked for shutdown.
+fn handle_payload(service: &SpmmService, payload: &[u8]) -> (Json, bool) {
+    match parse_payload(payload) {
+        Ok(request) => (
+            handle_request(service, &request),
+            request.str_field("op") == Some("shutdown"),
+        ),
+        Err(msg) => (bad_request(format!("malformed request: {msg}")), false),
+    }
 }
 
 /// FNV-1a over the nine bit patterns of a [`PhaseBreakdown`] — equal iff
@@ -361,10 +390,10 @@ pub fn serve_stream<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> io::Result<bool> {
-    while let Some(request) = read_frame(reader)? {
-        let reply = handle_request(service, &request);
+    while let Some(payload) = read_payload(reader)? {
+        let (reply, shutdown) = handle_payload(service, &payload);
         write_frame(writer, &reply)?;
-        if request.str_field("op") == Some("shutdown") {
+        if shutdown {
             return Ok(true);
         }
     }
@@ -495,6 +524,7 @@ mod tests {
     #[test]
     fn protocol_errors_are_replies_not_panics() {
         let service = service();
+        let nested = "[".repeat(400 << 10);
         for (line, code) in [
             (r#"{"no_op":1}"#, "bad_request"),
             (r#"{"op":"warp"}"#, "bad_request"),
@@ -527,11 +557,40 @@ mod tests {
                 r#"{"op":"multiply","a":"x","b":"x","policy":{"kind":"warp"}}"#,
                 "bad_request",
             ),
+            (nested.as_str(), "bad_request"),
         ] {
-            let reply = handle_request(&service, &json::parse(line).unwrap());
+            let (reply, _) = handle_payload(&service, line.as_bytes());
             assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
             assert_eq!(reply.str_field("code"), Some(code), "{line}");
         }
+    }
+
+    #[test]
+    fn unparsable_frames_get_replies_and_the_session_continues() {
+        let service = service();
+        let mut input = Vec::new();
+        for payload in [
+            "[".repeat(400 << 10).into_bytes(),
+            b"{\"op\":".to_vec(),
+            vec![0xff, 0xfe],
+            br#"{"op":"ping"}"#.to_vec(),
+        ] {
+            input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            input.extend_from_slice(&payload);
+        }
+        let mut output = Vec::new();
+        let shut = serve_stream(&service, &mut Cursor::new(input), &mut output).unwrap();
+        assert!(!shut);
+        let mut cursor = Cursor::new(output);
+        let mut replies = Vec::new();
+        while let Some(reply) = read_frame(&mut cursor).unwrap() {
+            replies.push(reply);
+        }
+        assert_eq!(replies.len(), 4);
+        for reply in &replies[..3] {
+            assert_eq!(reply.str_field("code"), Some("bad_request"), "{reply:?}");
+        }
+        assert_eq!(replies[3].str_field("op"), Some("ping"));
     }
 
     #[test]
