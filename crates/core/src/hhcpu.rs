@@ -1,8 +1,10 @@
 //! Algorithm HH-CPU (the paper's Algorithm 1).
 
+use std::sync::{Arc, Mutex};
+
 use spmm_sparse::{AccumStrategy, CsrMatrix, Scalar};
 
-use spmm_hetsim::{PhaseBreakdown, PhaseTimes};
+use spmm_hetsim::{PhaseBreakdown, PhaseTimes, Platform};
 
 use crate::context::HeteroContext;
 use crate::plan::{plan_claims, ClaimPlan, Split};
@@ -61,9 +63,36 @@ pub struct SpmmArtifacts {
     /// CPU's queue end.
     pub w_high: Vec<u32>,
     /// The Phase II/III plan on cold devices of the build context's
-    /// platform with adaptive grains. `None` for a row band, which plans
-    /// its own rows when it runs.
+    /// platform with adaptive grains. `None` for a row band unless the
+    /// sharded driver hands it the band's stored plan.
     pub claims: Option<ClaimPlan>,
+    /// Per-band Phase II/III plans of the last shard layout run against
+    /// these artifacts; storing another layout replaces them.
+    band_plans: Mutex<Option<BandPlans>>,
+}
+
+/// The Phase II/III plans of one shard layout's bands, in band order, and
+/// the key they were planned under.
+#[derive(Debug)]
+struct BandPlans {
+    /// [`crate::shard::ShardPlan::bounds`] of the layout.
+    bounds: Vec<usize>,
+    platform: Platform,
+    /// The run's `HhCpuConfig::units` (`None` = adaptive per band).
+    units: Option<WorkUnitConfig>,
+    plans: Arc<[ClaimPlan]>,
+}
+
+impl BandPlans {
+    fn matches(&self, bounds: &[usize], platform: Platform, units: Option<WorkUnitConfig>) -> bool {
+        self.bounds == bounds && self.platform == platform && self.units == units
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.bounds.len() * std::mem::size_of::<usize>()
+            + self.plans.len() * std::mem::size_of::<ClaimPlan>()
+            + self.plans.iter().map(ClaimPlan::heap_bytes).sum::<usize>()
+    }
 }
 
 impl SpmmArtifacts {
@@ -85,6 +114,7 @@ impl SpmmArtifacts {
             w_low,
             w_high,
             claims: Some(claims),
+            band_plans: Mutex::default(),
         }
     }
 
@@ -102,7 +132,8 @@ impl SpmmArtifacts {
     /// (per-band thresholds would reclassify rows). A row's widths depend
     /// only on its own sources and the global masks, so the sliced tables
     /// are exactly the band's own. The band's claim schedule is its own
-    /// too, so it carries no plan.
+    /// too, so it carries no plan; the sharded driver sets `claims` to the
+    /// band's entry of [`Self::band_plans`] when one is stored.
     pub fn for_row_band<T: Scalar>(
         &self,
         rows: std::ops::Range<usize>,
@@ -131,17 +162,68 @@ impl SpmmArtifacts {
             w_low: self.w_low[rows.clone()].to_vec(),
             w_high: self.w_high[rows].to_vec(),
             claims: None,
+            band_plans: Mutex::default(),
         }
     }
 
-    /// Approximate heap footprint, for serve-layer cache accounting.
+    /// The stored Phase II/III plans of the bands `bounds` cuts A into
+    /// ([`crate::shard::ShardPlan::bounds`]), one per band in band order,
+    /// when a sharded run on `platform` under `units` (a run's
+    /// `HhCpuConfig::units`) stored them.
+    ///
+    /// A band's plan is a pure function of the band's rows, the global
+    /// masks and width tables these artifacts hold, the platform and the
+    /// grains — the argument that lets a monolithic run reuse
+    /// [`Self::claims`], applied per band — so a later run with the same
+    /// key makes exactly these plans and may skip the event loop.
+    pub fn band_plans(
+        &self,
+        bounds: &[usize],
+        platform: Platform,
+        units: Option<WorkUnitConfig>,
+    ) -> Option<Arc<[ClaimPlan]>> {
+        self.memo()
+            .as_ref()
+            .filter(|e| e.matches(bounds, platform, units))
+            .map(|e| e.plans.clone())
+    }
+
+    /// Store the band plans a sharded run made under this key (see
+    /// [`Self::band_plans`]), replacing whatever layout was stored.
+    pub(crate) fn store_band_plans(
+        &self,
+        bounds: &[usize],
+        platform: Platform,
+        units: Option<WorkUnitConfig>,
+        plans: Vec<ClaimPlan>,
+    ) {
+        debug_assert_eq!(plans.len() + 1, bounds.len(), "one plan per band");
+        *self.memo() = Some(BandPlans {
+            bounds: bounds.to_vec(),
+            platform,
+            units,
+            plans: plans.into(),
+        });
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, Option<BandPlans>> {
+        // the only update is one assignment, so a panic while the lock
+        // was held cannot leave the slot half written
+        self.band_plans
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Approximate heap footprint, for serve-layer cache accounting. It
+    /// changes when a sharded run stores its band plans.
     pub fn byte_size(&self) -> usize {
         let plan = &self.plan;
         let masks = plan.thresholds.a_high.len() + plan.thresholds.b_high.len();
         let syms = plan.sym_a.byte_size() + plan.sym_b.as_ref().map_or(0, |s| s.byte_size());
         let widths = (self.w_low.len() + self.w_high.len()) * 4;
         let claims = self.claims.as_ref().map_or(0, ClaimPlan::heap_bytes);
-        masks + syms + widths + claims + std::mem::size_of::<Self>()
+        let band_plans = self.memo().as_ref().map_or(0, BandPlans::heap_bytes);
+        masks + syms + widths + claims + band_plans + std::mem::size_of::<Self>()
     }
 }
 
@@ -171,8 +253,8 @@ pub fn hh_cpu<T: Scalar>(
 /// call's platform and work-unit grains: a cold device of `ctx.platform`
 /// is exactly a reset `ctx` device, so planning again could only repeat
 /// it. Otherwise — explicit `config.units`, a context on another
-/// platform, or a row band's artifacts — the call plans on `ctx`'s reset
-/// devices.
+/// platform, or a row band's artifacts without a stored band plan — the
+/// call plans on `ctx`'s reset devices.
 ///
 /// The caller is responsible for passing artifacts built for these exact
 /// operands and `config.policy` (a content-hash-keyed cache makes that
@@ -184,6 +266,20 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
     config: &HhCpuConfig,
     artifacts: &SpmmArtifacts,
 ) -> SpmmOutput<T> {
+    run_with_artifacts(ctx, a, b, config, artifacts).0
+}
+
+/// [`hh_cpu_with_artifacts`], also handing back the Phase II/III plan the
+/// call made when it could not reuse `artifacts.claims` (`None` when it
+/// reused it) — how a row band's first sharded run plans once and still
+/// stores what it planned.
+pub(crate) fn run_with_artifacts<T: Scalar>(
+    ctx: &mut HeteroContext,
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    config: &HhCpuConfig,
+    artifacts: &SpmmArtifacts,
+) -> (SpmmOutput<T>, Option<ClaimPlan>) {
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -225,23 +321,23 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
     // units for the endgame to balance (the last unit bounds the final
     // clock gap between the devices).
     let units = split.units(config.units);
-    let planned;
-    let claims = match &artifacts.claims {
-        Some(stored) if stored.platform == ctx.platform && stored.units == units => stored,
-        _ => {
-            planned = plan_claims(
-                &mut ctx.cpu,
-                &mut ctx.gpu,
-                ctx.platform,
-                a,
-                b,
-                &split,
-                units,
-                (&artifacts.w_low, &artifacts.w_high),
-            );
-            &planned
-        }
+    let planned = match &artifacts.claims {
+        Some(stored) if stored.platform == ctx.platform && stored.units == units => None,
+        _ => Some(plan_claims(
+            &mut ctx.cpu,
+            &mut ctx.gpu,
+            ctx.platform,
+            a,
+            b,
+            &split,
+            units,
+            (&artifacts.w_low, &artifacts.w_high),
+        )),
     };
+    let claims = planned
+        .as_ref()
+        .or(artifacts.claims.as_ref())
+        .expect("either the stored plan matched or the call planned");
 
     // ---- Execute: all scheduled numeric work in one batched pass (or the
     // per-claim reference, per `config.exec`), in the plan's block order. ----
@@ -273,7 +369,7 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
         ctx.gpu.merge_cost(gpu_entries),
     );
 
-    SpmmOutput {
+    let output = SpmmOutput {
         c,
         profile: PhaseBreakdown {
             phase1,
@@ -287,7 +383,8 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
         hd_rows_a: th.hd_rows_a(),
         hd_rows_b: th.hd_rows_b(),
         tuples_merged,
-    }
+    };
+    (output, planned)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //!
 //! A shard is "a claim schedule with a row offset": the [`ShardPlan`]
 //! cuts A into contiguous nnz-balanced row bands, each band × full B runs
-//! through the unmodified [`hh_cpu_with_artifacts`] engine against
+//! through the unmodified [`crate::hh_cpu_with_artifacts`] engine against
 //! artifacts *sliced from one global Phase I* ([`SpmmArtifacts::for_row_band`]),
 //! and the per-band CSR outputs are stitched back into monolithic C by
 //! pure indptr offset fix-up — no re-sort, no re-merge. Bit-identity of
@@ -22,14 +22,22 @@
 //!   ([`ResidentBudget`]: in-flight band inputs + finished C bands,
 //!   byte-accurate against `byte_cap`), finished bands hand off to a
 //!   dedicated write-behind spill thread that owns the [`SpillStore`], and
-//!   the final stitch streams spilled chunks back through a prefetching
-//!   reader thread ([`SpillStore::into_stitched`]) — compute never blocks
-//!   on `write_csr_chunk`, and the stitch never holds all bands resident.
+//!   the final stitch reads spilled chunks straight into the final arrays
+//!   on a reader thread ([`SpillStore::into_stitched`]) — compute never
+//!   blocks on `write_csr_chunk`, and the stitch never holds all bands
+//!   resident or stages a chunk in memory.
 //!   Band results commit in plan order regardless of completion order
 //!   ([`OrderedCommitter`]), which is what keeps the stitched C *and* the
 //!   summed profile bit-identical to the monolithic run (DESIGN.md §3.9).
 //!   `SPMM_SHARD_IO_THREADS=0` ([`io_mode`]) degrades to the original
 //!   synchronous loop: bands sequential on the full pool, inline spills.
+//!
+//! Every mode sets a band up the same way ([`BandSetup::run`]). A band's
+//! Phase II/III plan is a pure function of its rows, the global masks and
+//! width tables, the platform and the work-unit grains, so the first run
+//! of a shard layout stores the band plans with the global artifacts
+//! ([`SpmmArtifacts::band_plans`]) and later runs of that layout skip the
+//! plan event loop (DESIGN.md §3.7).
 //!
 //! The [`ShardLink`] model prices the communication a real 1.5D
 //! decomposition would pay (B replication factor `c` trades resident
@@ -41,11 +49,12 @@ use std::time::Instant;
 
 use spmm_hetsim::{PhaseBreakdown, PhaseTimes, ShardLink, ShardLinkCost};
 use spmm_parallel::{OrderedCommitter, ThreadPool};
-use spmm_sparse::io::{read_csr_chunk, read_csr_chunk_header, split_csr_chunk, write_csr_chunk};
+use spmm_sparse::io::{read_csr_chunk, read_csr_chunk_into, write_csr_chunk};
 use spmm_sparse::{CsrMatrix, Scalar, SparseError};
 
 use crate::context::HeteroContext;
-use crate::hhcpu::{hh_cpu_with_artifacts, HhCpuConfig, SpmmArtifacts};
+use crate::hhcpu::{run_with_artifacts, HhCpuConfig, SpmmArtifacts};
+use crate::plan::ClaimPlan;
 use crate::result::SpmmOutput;
 
 /// Runtime pin for the out-of-core pipeline, mirroring the
@@ -322,66 +331,72 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
     // materialize it, and the link model wants the same numbers.
     let band_a_bytes: Vec<usize> = (0..p).map(|i| a.row_band_byte_size(plan.band(i))).collect();
 
+    // Every band plans once per layout: the first run stores the band
+    // plans with the global artifacts, and later runs hand them back.
+    let stored = artifacts.band_plans(plan.bounds(), ctx.platform, config.units);
+    let band = BandSetup {
+        a,
+        b,
+        config,
+        artifacts,
+        plan: &plan,
+        stored: stored.as_deref(),
+    };
+
     let mut spilled_shards = 0usize;
     let mut pipe = None;
-    // Each branch yields the band outputs in plan order; the pipelined
+    // Each branch yields the band runs in plan order; the pipelined
     // branch also yields the already-stitched C plus per-band C bytes
     // (its outputs carry empty placeholder matrices — the real bands
     // streamed through the spill store).
-    type BandRun<T> = (Vec<SpmmOutput<T>>, Option<(CsrMatrix<T>, Vec<usize>)>);
-    let (outputs, prestitched): BandRun<T> = match shard.mode {
+    type BandRuns<T> = (Vec<BandRun<T>>, Option<(CsrMatrix<T>, Vec<usize>)>);
+    let (runs, prestitched): BandRuns<T> = match shard.mode {
         ShardMode::Pooled => {
-            // Bands and their sliced artifacts are cheap to build (one
-            // memcpy of the band arrays + one symbolic scan); the
-            // engine runs dominate.
-            let bands: Vec<CsrMatrix<T>> = (0..p).map(|i| a.row_band(plan.band(i))).collect();
             // Outer-parallel, inner-serial: the same shape as the serve
             // layer's micro-batch. Device models are per-band (cheap);
             // the workspace pool is the shared, thread-keyed resource.
-            let outs = ctx.pool.par_map(p, |i| {
-                let mut band_ctx = HeteroContext::with_shared(
-                    ctx.platform,
-                    ThreadPool::new(1),
-                    ctx.workspaces.clone(),
-                );
-                let band_artifacts = artifacts.for_row_band(plan.band(i), &bands[i]);
-                hh_cpu_with_artifacts(&mut band_ctx, &bands[i], b, config, &band_artifacts)
-            });
-            (outs, None)
+            let runs = ctx
+                .pool
+                .par_map(p, |i| band.run(&mut serial_band_ctx(ctx), i));
+            (runs, None)
         }
         ShardMode::OutOfCore { byte_cap } if io_mode::pipelined() => {
-            let run = run_out_of_core_pipelined(ctx, a, b, config, artifacts, &plan, byte_cap);
+            let run = run_out_of_core_pipelined(ctx, &band, byte_cap);
             spilled_shards = run.spilled;
             pipe = Some(run.stats);
-            (run.outputs, Some((run.c, run.band_c_bytes)))
+            (run.runs, Some((run.c, run.band_c_bytes)))
         }
         ShardMode::OutOfCore { byte_cap } => {
             // Synchronous fallback (SPMM_SHARD_IO_THREADS=0): bands
             // run sequentially on the full host pool, spill I/O
             // inline, all bands restored before one batch concat.
             let mut spill = SpillStore::new(byte_cap);
-            let mut outs: Vec<SpmmOutput<T>> = Vec::with_capacity(p);
+            let mut runs: Vec<BandRun<T>> = Vec::with_capacity(p);
             for i in 0..p {
-                let band = a.row_band(plan.band(i));
-                let band_artifacts = artifacts.for_row_band(plan.band(i), &band);
-                let mut out = hh_cpu_with_artifacts(ctx, &band, b, config, &band_artifacts);
+                let mut run = band.run(ctx, i);
                 // Hand the finished C band to the spill store, which
                 // evicts oldest-first whenever residency exceeds the
                 // cap; the matrix left behind is an empty placeholder.
-                let c = std::mem::replace(&mut out.c, CsrMatrix::zeros(0, 0));
+                let c = std::mem::replace(&mut run.0.c, CsrMatrix::zeros(0, 0));
                 spill.push(i, c).expect("shard spill write failed");
-                outs.push(out);
+                runs.push(run);
             }
             // Stream every band back (disk or memory) in band order.
             let restored = spill.drain().expect("shard spill read failed");
             spilled_shards = spill.spilled();
-            for (out, c) in outs.iter_mut().zip(restored) {
-                out.c = c;
+            for (run, c) in runs.iter_mut().zip(restored) {
+                run.0.c = c;
             }
-            (outs, None)
+            (runs, None)
         }
     };
 
+    let (outputs, planned): (Vec<SpmmOutput<T>>, Vec<Option<ClaimPlan>>) = runs.into_iter().unzip();
+    if stored.is_none() {
+        if let Some(plans) = planned.into_iter().collect() {
+            artifacts.store_band_plans(plan.bounds(), ctx.platform, config.units, plans);
+        }
+    }
     let per_shard: Vec<PhaseBreakdown> = outputs.iter().map(|o| o.profile).collect();
     let tuples_merged: usize = outputs.iter().map(|o| o.tuples_merged).sum();
     let (c, band_c_bytes) = match prestitched {
@@ -422,10 +437,46 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
     }
 }
 
+/// One band's engine output and the Phase II/III plan it made, if it had
+/// no stored plan to reuse.
+type BandRun<T> = (SpmmOutput<T>, Option<ClaimPlan>);
+
+/// What every execution mode needs to run one band: the operands, the
+/// global artifacts, the layout and the layout's stored band plans.
+struct BandSetup<'a, T: Scalar> {
+    a: &'a CsrMatrix<T>,
+    b: &'a CsrMatrix<T>,
+    config: &'a HhCpuConfig,
+    artifacts: &'a SpmmArtifacts,
+    plan: &'a ShardPlan,
+    /// The layout's stored band plans, in band order.
+    stored: Option<&'a [ClaimPlan]>,
+}
+
+impl<T: Scalar> BandSetup<'_, T> {
+    /// Run band `i` on `ctx`: materialize the band, slice the global
+    /// artifacts to it, hand it its stored plan (if any) and run the
+    /// engine. A band without a stored plan plans on `ctx`'s reset
+    /// devices — the plan a fresh device would make — and returns it.
+    fn run(&self, ctx: &mut HeteroContext, i: usize) -> BandRun<T> {
+        let rows = self.plan.band(i);
+        let band = self.a.row_band(rows.clone());
+        let mut band_artifacts = self.artifacts.for_row_band(rows, &band);
+        band_artifacts.claims = self.stored.map(|plans| plans[i].clone());
+        run_with_artifacts(ctx, &band, self.b, self.config, &band_artifacts)
+    }
+}
+
+/// A band worker's context: `ctx`'s platform and shared workspaces on a
+/// serial pool (outer-parallel, inner-serial).
+fn serial_band_ctx(ctx: &HeteroContext) -> HeteroContext {
+    HeteroContext::with_shared(ctx.platform, ThreadPool::new(1), ctx.workspaces.clone())
+}
+
 /// Everything the pipelined out-of-core run hands back to the driver.
 struct PipelinedRun<T: Scalar> {
-    /// Band outputs in plan order; `c` fields are empty placeholders.
-    outputs: Vec<SpmmOutput<T>>,
+    /// Band runs in plan order; output `c` fields are empty placeholders.
+    runs: Vec<BandRun<T>>,
     /// The stitched C.
     c: CsrMatrix<T>,
     /// Per-band C bytes (link-model input), in plan order.
@@ -449,18 +500,16 @@ struct PipelinedRun<T: Scalar> {
 ///    the [`SpillStore`] and evicts to disk exactly like the synchronous
 ///    path, so compute never blocks on `write_csr_chunk`.
 /// 3. **Streaming stitch** — after the last commit the store sizes the
-///    final matrix from per-band chunk headers and appends bands one at a
-///    time, prefetching the next spilled chunk on a reader thread while
-///    the current band's indptr fix-up memcpy runs.
+///    final matrix from its per-band row and entry counts, copies resident
+///    bands into place, and has a reader thread read each spilled chunk
+///    straight into its range while the previous band's row offsets are
+///    checked and rebased.
 fn run_out_of_core_pipelined<T: Scalar>(
     ctx: &HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    config: &HhCpuConfig,
-    artifacts: &SpmmArtifacts,
-    plan: &ShardPlan,
+    band: &BandSetup<'_, T>,
     byte_cap: usize,
 ) -> PipelinedRun<T> {
+    let (a, plan) = (band.a, band.plan);
     let p = plan.shards();
     // Cap workers at the hardware's parallelism even when the host pool
     // asks for more: band compute is CPU-bound, so oversubscribed workers
@@ -474,7 +523,7 @@ fn run_out_of_core_pipelined<T: Scalar>(
     let workers = ctx.pool.num_threads().min(p).min(hw).max(1);
     let band_a_bytes: Vec<usize> = (0..p).map(|i| a.row_band_byte_size(plan.band(i))).collect();
     let budget = ResidentBudget::new(byte_cap);
-    let outs: Mutex<Vec<Option<SpmmOutput<T>>>> = Mutex::new((0..p).map(|_| None).collect());
+    let outs: Mutex<Vec<Option<BandRun<T>>>> = Mutex::new((0..p).map(|_| None).collect());
     let band_c_bytes: Mutex<Vec<usize>> = Mutex::new(vec![0; p]);
 
     let (c, spilled, spill_wait_ns) = std::thread::scope(|s| {
@@ -545,9 +594,9 @@ fn run_out_of_core_pipelined<T: Scalar>(
         let (outs_ref, bytes_ref, budget_ref, inputs_ref) =
             (&outs, &band_c_bytes, &budget, &band_a_bytes);
         let committer =
-            OrderedCommitter::new(move |i: usize, (out, c): (SpmmOutput<T>, CsrMatrix<T>)| {
+            OrderedCommitter::new(move |i: usize, (run, c): (BandRun<T>, CsrMatrix<T>)| {
                 bytes_ref.lock().unwrap()[i] = c.byte_size();
-                outs_ref.lock().unwrap()[i] = Some(out);
+                outs_ref.lock().unwrap()[i] = Some(run);
                 // The band input dies here (the worker dropped it before
                 // submitting); its C is now the writer's responsibility.
                 budget_ref.commit(inputs_ref[i]);
@@ -565,20 +614,12 @@ fn run_out_of_core_pipelined<T: Scalar>(
                 let band_a_bytes = &band_a_bytes;
                 ws.spawn(move || {
                     while let Some(i) = budget.claim_next(band_a_bytes) {
-                        let band = a.row_band(plan.band(i));
-                        let mut band_ctx = HeteroContext::with_shared(
-                            ctx.platform,
-                            ThreadPool::new(1),
-                            ctx.workspaces.clone(),
-                        );
-                        let band_artifacts = artifacts.for_row_band(plan.band(i), &band);
-                        let mut out =
-                            hh_cpu_with_artifacts(&mut band_ctx, &band, b, config, &band_artifacts);
-                        let c = std::mem::replace(&mut out.c, CsrMatrix::zeros(0, 0));
+                        let mut run = band.run(&mut serial_band_ctx(ctx), i);
+                        let c = std::mem::replace(&mut run.0.c, CsrMatrix::zeros(0, 0));
                         // C enters the budget the moment it exists; the
                         // band input leaves at commit time.
                         budget.charge_c(i, c.byte_size());
-                        committer.submit(i, (out, c));
+                        committer.submit(i, (run, c));
                     }
                 });
             }
@@ -593,12 +634,12 @@ fn run_out_of_core_pipelined<T: Scalar>(
             .expect("shard spill write failed");
         let spilled = store.spilled();
         let c = store
-            .into_stitched(b.ncols())
+            .into_stitched(band.b.ncols())
             .expect("shard spill read failed");
         (c, spilled, wait_ns)
     });
 
-    let outputs: Vec<SpmmOutput<T>> = outs
+    let runs: Vec<BandRun<T>> = outs
         .into_inner()
         .unwrap()
         .into_iter()
@@ -606,7 +647,7 @@ fn run_out_of_core_pipelined<T: Scalar>(
         .collect();
     let (peak_resident_bytes, admit_wait_ns) = budget.stats();
     PipelinedRun {
-        outputs,
+        runs,
         c,
         band_c_bytes: band_c_bytes.into_inner().unwrap(),
         spilled,
@@ -774,6 +815,10 @@ struct Slot<T: Scalar> {
     shard: usize,
     band: Option<CsrMatrix<T>>,
     staged: bool,
+    /// The band's row and entry counts, kept for the stitch's sizing pass
+    /// after the band itself has left memory.
+    nrows: usize,
+    nnz: usize,
 }
 
 impl<T: Scalar> SpillStore<T> {
@@ -823,6 +868,8 @@ impl<T: Scalar> SpillStore<T> {
         self.resident_bytes += c.byte_size();
         self.slots.push(Slot {
             shard,
+            nrows: c.nrows(),
+            nnz: c.nnz(),
             band: Some(c),
             staged: false,
         });
@@ -909,128 +956,147 @@ impl<T: Scalar> SpillStore<T> {
     }
 
     /// Stitch every band (index order) into one matrix without ever
-    /// holding all bands resident: a sizing pass reads the 40-byte header
-    /// of each spilled chunk (resident bands are sized directly) to
-    /// allocate the final arrays once, then bands append one at a time —
-    /// with a prefetch thread decoding the *next* spilled chunk
-    /// (double-buffered `sync_channel(1)`) while the current band's
-    /// indptr fix-up memcpy runs. Consumes the store; the spill directory
-    /// is removed on the way out.
+    /// holding all bands resident or staging a spilled chunk in memory.
+    /// The sizing pass sums the row and entry counts the store recorded
+    /// per band, allocates the final arrays once and carves them into
+    /// per-band destination ranges. Resident bands are copied into their
+    /// ranges on this thread; a reader thread reads each spilled chunk
+    /// straight into its ranges ([`read_csr_chunk_into`]) and hands the
+    /// band's row offsets back, so this thread checks and rebases one
+    /// band while the next is read. Consumes the store; the spill
+    /// directory is removed on the way out.
     pub fn into_stitched(mut self, ncols: usize) -> Result<CsrMatrix<T>, SparseError> {
         let mut slots = std::mem::take(&mut self.slots);
         slots.sort_by_key(|s| s.shard);
+        let nrows: usize = slots.iter().map(|s| s.nrows).sum();
+        let nnz: usize = slots.iter().map(|s| s.nnz).sum();
+        // zero-filled allocations come straight from the allocator's
+        // zeroed pages; every entry is overwritten below
+        let mut indptr = vec![0usize; nrows + 1];
+        let mut indices = vec![0u32; nnz];
+        let mut values = vec![T::ZERO; nnz];
 
-        // Sizing pass: per-band headers, no band bodies.
-        let mut nrows = 0usize;
-        let mut nnz = 0usize;
-        for slot in &slots {
-            match &slot.band {
-                Some(m) => {
-                    nrows += m.nrows();
-                    nnz += m.nnz();
-                }
-                None => {
-                    let dir = self.dir.as_ref().expect("spilled shard without a dir");
-                    let mut file = std::fs::File::open(Self::chunk_path(dir, slot.shard))?;
-                    let header = read_csr_chunk_header(&mut file)?;
-                    nrows += header.nrows;
-                    nnz += header.nnz;
-                }
-            }
-        }
-
-        let mut indptr = Vec::with_capacity(nrows + 1);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        indptr.push(0);
+        // Carve the destinations: band k owns row offsets
+        // row_start+1..=row_start+nrows (its leading offset is the
+        // previous band's last, fixed by that band) and its nnz range.
+        let (mut resident, mut spilled) = (Vec::new(), Vec::new());
+        let (mut rows_left, mut idx_left, mut val_left) =
+            (&mut indptr[1..], &mut indices[..], &mut values[..]);
         let mut base = 0usize;
-
-        fn append_band<T: Scalar>(
-            band: &CsrMatrix<T>,
-            ncols: usize,
-            indptr: &mut Vec<usize>,
-            indices: &mut Vec<u32>,
-            values: &mut Vec<T>,
-            base: &mut usize,
-        ) {
-            debug_assert_eq!(band.ncols(), ncols, "bands must share the output width");
-            indptr.extend(band.indptr()[1..].iter().map(|&p| p + *base));
-            indices.extend_from_slice(band.indices());
-            values.extend_from_slice(band.values());
-            *base += band.nnz();
+        for slot in slots {
+            let (rows, rest) = std::mem::take(&mut rows_left).split_at_mut(slot.nrows);
+            rows_left = rest;
+            let (idx, rest) = std::mem::take(&mut idx_left).split_at_mut(slot.nnz);
+            idx_left = rest;
+            let (val, rest) = std::mem::take(&mut val_left).split_at_mut(slot.nnz);
+            val_left = rest;
+            let dest = BandDest {
+                indptr: rows,
+                indices: idx,
+                values: val,
+                base,
+            };
+            base += slot.nnz;
+            match slot.band {
+                Some(band) => resident.push((band, dest)),
+                None => spilled.push((slot.shard, dest)),
+            }
         }
 
-        let spilled_idx: Vec<usize> = slots
-            .iter()
-            .filter(|s| s.band.is_none())
-            .map(|s| s.shard)
-            .collect();
-        if spilled_idx.is_empty() {
-            for slot in slots {
-                let band = slot.band.expect("resident slot");
-                append_band(
-                    &band,
-                    ncols,
-                    &mut indptr,
-                    &mut indices,
-                    &mut values,
-                    &mut base,
-                );
-            }
-        } else {
-            let dir = self.dir.clone().expect("spilled shard without a dir");
-            std::thread::scope(|s| -> Result<(), SparseError> {
-                // The prefetch thread ships raw chunk bytes (one
-                // `fs::read` per file); the consumer splits and appends
-                // them straight into the final arrays — no per-chunk
-                // matrix materialization or double copy.
-                let (tx, rx) = mpsc::sync_channel::<Result<Vec<u8>, SparseError>>(1);
+        let dir = self.dir.clone();
+        std::thread::scope(|s| -> Result<(), SparseError> {
+            let (tx, rx) = mpsc::channel::<Result<(usize, BandDest<'_, T>), SparseError>>();
+            if !spilled.is_empty() {
+                let dir = dir.expect("spilled shard without a dir");
                 s.spawn(move || {
-                    for idx in spilled_idx {
-                        let chunk =
-                            std::fs::read(Self::chunk_path(&dir, idx)).map_err(SparseError::from);
-                        let failed = chunk.is_err();
+                    for (shard, dest) in spilled {
+                        let read = std::fs::File::open(Self::chunk_path(&dir, shard))
+                            .map_err(SparseError::from)
+                            .and_then(|mut file| {
+                                read_csr_chunk_into(
+                                    &mut file,
+                                    ncols,
+                                    dest.indptr,
+                                    dest.indices,
+                                    dest.values,
+                                )
+                            })
+                            .map(|first| (first, dest));
+                        let failed = read.is_err();
                         // A closed receiver (consumer error/panic) or a
-                        // read failure both end the prefetch.
-                        if tx.send(chunk).is_err() || failed {
+                        // read failure both end the reader.
+                        if tx.send(read).is_err() || failed {
                             break;
                         }
                     }
                 });
-                for slot in slots {
-                    match slot.band {
-                        Some(band) => append_band(
-                            &band,
-                            ncols,
-                            &mut indptr,
-                            &mut indices,
-                            &mut values,
-                            &mut base,
-                        ),
-                        None => {
-                            let bytes = rx.recv().map_err(|_| {
-                                SparseError::Io("spill prefetch thread exited early".into())
-                            })??;
-                            let regions = split_csr_chunk::<T>(&bytes)?;
-                            debug_assert_eq!(
-                                regions.header.ncols, ncols,
-                                "bands must share the output width"
-                            );
-                            indptr.extend(regions.indptr_iter().skip(1).map(|p| p + base));
-                            regions.extend_indices(&mut indices);
-                            regions.extend_values(&mut values);
-                            base += regions.header.nnz;
-                        }
-                    }
+            } else {
+                drop(tx);
+            }
+            for (band, dest) in resident {
+                debug_assert_eq!(band.ncols(), ncols, "bands must share the output width");
+                for (d, &p) in dest.indptr.iter_mut().zip(&band.indptr()[1..]) {
+                    *d = p + dest.base;
                 }
-                Ok(())
-            })?;
-        }
+                dest.indices.copy_from_slice(band.indices());
+                dest.values.copy_from_slice(band.values());
+            }
+            for read in rx {
+                let (first, dest) = read?;
+                rebase_checked(first, dest.indptr, dest.indices.len(), dest.base)?;
+            }
+            Ok(())
+        })?;
         // `self` drops here, removing the spill directory.
         Ok(CsrMatrix::from_parts_unchecked(
             nrows, ncols, indptr, indices, values,
         ))
     }
+}
+
+/// One band's ranges of the stitched arrays: row offsets 1..=nrows of the
+/// band, its column indices and values, and the entries before it.
+struct BandDest<'a, T> {
+    indptr: &'a mut [usize],
+    indices: &'a mut [u32],
+    values: &'a mut [T],
+    base: usize,
+}
+
+/// Check a spilled band's row offsets as read from disk — leading offset
+/// `first` is 0, `tail` never decreases, and the last offset is `nnz` —
+/// and rebase them by `base` in place. A corrupt chunk is an error, never
+/// a stitched matrix whose rows overlap or run past its entries.
+fn rebase_checked(
+    first: usize,
+    tail: &mut [usize],
+    nnz: usize,
+    base: usize,
+) -> Result<(), SparseError> {
+    let bad = |msg: String| Err(SparseError::MalformedIndptr(msg));
+    if first != 0 {
+        return bad(format!(
+            "spilled band's row offsets start at {first}, not 0"
+        ));
+    }
+    let mut prev = 0usize;
+    for (row, p) in tail.iter_mut().enumerate() {
+        if *p < prev || *p > nnz {
+            return bad(format!(
+                "spilled band's row offset {} is {}, after {prev} (nnz {nnz})",
+                row + 1,
+                *p
+            ));
+        }
+        prev = *p;
+        *p += base;
+    }
+    if prev != nnz {
+        return bad(format!(
+            "spilled band's row offsets end at {prev}, not nnz {nnz}"
+        ));
+    }
+    Ok(())
 }
 
 impl<T: Scalar> Drop for SpillStore<T> {

@@ -188,19 +188,30 @@ pub fn read_matrix_market_from<T: Scalar, R: Read>(reader: R) -> Result<CsrMatri
 /// [`write_csr_chunk`]). Version-suffixed so a layout change can bump it.
 pub const CSR_CHUNK_MAGIC: &[u8; 8] = b"SPMMCSR1";
 
-/// Append the raw bytes of a numeric slice to `buf`. On little-endian
-/// targets those bytes are exactly the chunk wire layout, so the encoders
-/// below use this as a memcpy fast path instead of per-element
-/// `to_le_bytes` loops.
+/// The raw bytes of a numeric slice. On little-endian targets those bytes
+/// are exactly the chunk wire layout, so the encoder writes them as they
+/// are instead of converting element by element.
 #[inline]
-fn extend_bytes_of<E: Copy>(buf: &mut Vec<u8>, slice: &[E]) {
+fn bytes_of<E: Copy>(slice: &[E]) -> &[u8] {
     // SAFETY: `E` is one of the plain numeric types this module encodes
     // (u32/usize/f32/f64) — no padding bytes, so viewing the initialized
     // elements as raw bytes is always valid.
-    let bytes = unsafe {
-        std::slice::from_raw_parts(slice.as_ptr().cast::<u8>(), std::mem::size_of_val(slice))
-    };
-    buf.extend_from_slice(bytes);
+    unsafe { std::slice::from_raw_parts(slice.as_ptr().cast::<u8>(), std::mem::size_of_val(slice)) }
+}
+
+/// The raw bytes of a numeric slice, writable: the direct-read decoder
+/// fills them from a little-endian chunk on little-endian targets.
+#[inline]
+fn bytes_of_mut<E: Copy>(slice: &mut [E]) -> &mut [u8] {
+    // SAFETY: as in `bytes_of`, and `E` is a plain numeric type for which
+    // every bit pattern is a valid value, so any bytes written through
+    // the view leave valid elements behind.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            slice.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(slice),
+        )
+    }
 }
 
 /// Append elements decoded from a little-endian byte stream to `dst` by
@@ -293,41 +304,37 @@ fn extend_values_from_le<T: Scalar>(dst: &mut Vec<T>, bytes: &[u8], dtype: usize
 /// which keeps the format mmap-friendly for a future reader that maps the
 /// chunk instead of copying it.
 ///
-/// The encoder assembles the whole chunk in one exactly-sized memory
-/// buffer and issues a single `write_all` — callers hand in the raw sink
-/// (a `File` on the spill path) and get one coalesced write with
-/// bit-identical bytes, no per-element I/O on the spill critical path.
+/// On little-endian 64-bit targets the encoder writes the 40-byte header
+/// and then each array's own bytes, with no staging copy of the chunk;
+/// other targets assemble the little-endian body in one buffer first.
+/// Either way the bytes are identical. Callers hand in the raw sink (a
+/// `File` on the spill path): four large writes, no per-element I/O.
 pub fn write_csr_chunk<T: Scalar, W: Write>(
     matrix: &CsrMatrix<T>,
     writer: &mut W,
 ) -> Result<(), SparseError> {
     let dtype = std::mem::size_of::<T>();
-    let total = CSR_CHUNK_MAGIC.len()
-        + 4 * 8
-        + (matrix.nrows() + 1) * 8
-        + matrix.nnz() * 4
-        + matrix.nnz() * dtype;
-    let mut buf = Vec::with_capacity(total);
-    buf.extend_from_slice(CSR_CHUNK_MAGIC);
-    for header in [
+    let mut header = [0u8; CSR_CHUNK_HEADER_BYTES];
+    header[..8].copy_from_slice(CSR_CHUNK_MAGIC);
+    for (slot, word) in header[8..].chunks_exact_mut(8).zip([
         dtype as u64,
         matrix.nrows() as u64,
         matrix.ncols() as u64,
         matrix.nnz() as u64,
-    ] {
-        buf.extend_from_slice(&header.to_le_bytes());
+    ]) {
+        slot.copy_from_slice(&word.to_le_bytes());
     }
+    writer.write_all(&header)?;
     if usize_is_le_u64() {
-        extend_bytes_of(&mut buf, matrix.indptr());
+        writer.write_all(bytes_of(matrix.indptr()))?;
+        writer.write_all(bytes_of(matrix.indices()))?;
+        writer.write_all(bytes_of(matrix.values()))?;
     } else {
+        let body = (matrix.nrows() + 1) * 8 + matrix.nnz() * (4 + dtype);
+        let mut buf = Vec::with_capacity(body);
         for &p in matrix.indptr() {
             buf.extend_from_slice(&(p as u64).to_le_bytes());
         }
-    }
-    if cfg!(target_endian = "little") {
-        extend_bytes_of(&mut buf, matrix.indices());
-        extend_bytes_of(&mut buf, matrix.values());
-    } else {
         for &c in matrix.indices() {
             buf.extend_from_slice(&c.to_le_bytes());
         }
@@ -335,17 +342,18 @@ pub fn write_csr_chunk<T: Scalar, W: Write>(
             let bits = v.value_bits();
             buf.extend_from_slice(&bits.to_le_bytes()[..dtype]);
         }
+        debug_assert_eq!(buf.len(), body);
+        writer.write_all(&buf)?;
     }
-    debug_assert_eq!(buf.len(), total);
-    writer.write_all(&buf)?;
     writer.flush()?;
     Ok(())
 }
 
-/// Fixed-size header of a CSR spill chunk: everything a reader needs to
-/// size the arrays before decoding them. The streaming shard stitch reads
-/// just this (40 bytes) from every spilled chunk to pre-allocate the final
-/// matrix, then decodes chunk bodies one band at a time.
+/// Bytes of a chunk's magic and header words.
+const CSR_CHUNK_HEADER_BYTES: usize = 40;
+
+/// Fixed-size header of a CSR spill chunk (40 bytes): everything a reader
+/// needs to size the arrays before decoding them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsrChunkHeader {
     /// `size_of::<T>()` of the stored value type (4 = f32, 8 = f64).
@@ -364,134 +372,161 @@ pub fn read_csr_chunk_header<R: Read>(reader: &mut R) -> Result<CsrChunkHeader, 
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
     if &magic != CSR_CHUNK_MAGIC {
-        return Err(SparseError::Parse {
-            line: 0,
-            msg: format!("bad CSR chunk magic {magic:?}"),
-        });
+        return Err(chunk_error(format!("bad CSR chunk magic {magic:?}")));
     }
     let mut word = [0u8; 8];
-    let mut read_u64 = |reader: &mut R| -> Result<u64, SparseError> {
+    let mut read_usize = |reader: &mut R, what: &str| -> Result<usize, SparseError> {
         reader.read_exact(&mut word)?;
-        Ok(u64::from_le_bytes(word))
+        let value = u64::from_le_bytes(word);
+        usize::try_from(value)
+            .map_err(|_| chunk_error(format!("CSR chunk {what} {value} exceeds usize")))
     };
     Ok(CsrChunkHeader {
-        dtype_bytes: read_u64(reader)? as usize,
-        nrows: read_u64(reader)? as usize,
-        ncols: read_u64(reader)? as usize,
-        nnz: read_u64(reader)? as usize,
+        dtype_bytes: read_usize(reader, "dtype")?,
+        nrows: read_usize(reader, "nrows")?,
+        ncols: read_usize(reader, "ncols")?,
+        nnz: read_usize(reader, "nnz")?,
     })
+}
+
+fn chunk_error(msg: String) -> SparseError {
+    SparseError::Parse { line: 0, msg }
+}
+
+impl CsrChunkHeader {
+    /// Reject a chunk whose stored value type is not `T`.
+    fn check_dtype<T: Scalar>(&self) -> Result<(), SparseError> {
+        let want = std::mem::size_of::<T>();
+        if self.dtype_bytes == want {
+            return Ok(());
+        }
+        Err(chunk_error(format!(
+            "CSR chunk dtype is {} bytes, expected {want} for {}",
+            self.dtype_bytes,
+            std::any::type_name::<T>()
+        )))
+    }
+
+    /// Byte lengths of the body's `indptr`, `indices` and `values`
+    /// arrays, computed with checked arithmetic: a header whose counts
+    /// overflow (a crafted or corrupt chunk) is an error, never a wrapped
+    /// length.
+    fn body_lens(&self) -> Result<[usize; 3], SparseError> {
+        let lens = (|| {
+            let indptr = self.nrows.checked_add(1)?.checked_mul(8)?;
+            let indices = self.nnz.checked_mul(4)?;
+            let values = self.nnz.checked_mul(self.dtype_bytes)?;
+            indptr.checked_add(indices)?.checked_add(values)?;
+            Some([indptr, indices, values])
+        })();
+        lens.ok_or_else(|| {
+            chunk_error(format!(
+                "CSR chunk header overflows: nrows {}, nnz {}, dtype {}",
+                self.nrows, self.nnz, self.dtype_bytes
+            ))
+        })
+    }
+}
+
+/// Read exactly `len` bytes. The buffer grows with the bytes that arrive
+/// rather than being sized up front from `len`, so a header that promises
+/// a huge body over a short reader fails with an I/O error instead of
+/// attempting a huge allocation.
+fn read_len<R: Read>(reader: &mut R, len: usize) -> Result<Vec<u8>, SparseError> {
+    /// Largest up-front reservation; longer bodies grow as they arrive.
+    const PREALLOC: usize = 1 << 24;
+    let mut buf = Vec::with_capacity(len.min(PREALLOC));
+    reader.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(SparseError::Io(format!(
+            "CSR chunk body truncated: {} of {len} bytes",
+            buf.len()
+        )));
+    }
+    Ok(buf)
 }
 
 /// Decode the array body of a CSR spill chunk whose header was already
 /// consumed by [`read_csr_chunk_header`]. Validates the header's dtype
-/// against `T` and the structural invariants via [`CsrMatrix::try_new`].
+/// against `T`, its sizes with checked arithmetic, and the structural
+/// invariants via [`CsrMatrix::try_new`].
 pub fn read_csr_chunk_body<T: Scalar, R: Read>(
     header: &CsrChunkHeader,
     reader: &mut R,
 ) -> Result<CsrMatrix<T>, SparseError> {
-    let dtype = header.dtype_bytes;
-    if dtype != std::mem::size_of::<T>() {
-        return Err(SparseError::Parse {
-            line: 0,
-            msg: format!(
-                "CSR chunk dtype is {dtype} bytes, expected {} for {}",
-                std::mem::size_of::<T>(),
-                std::any::type_name::<T>()
-            ),
-        });
-    }
-    let (nrows, ncols, nnz) = (header.nrows, header.ncols, header.nnz);
+    header.check_dtype::<T>()?;
+    let [indptr_len, indices_len, values_len] = header.body_lens()?;
     // Bulk decode: one sized read per array, then a tight in-memory
     // conversion loop — no per-element I/O calls.
-    let mut bytes = vec![0u8; (nrows + 1) * 8];
-    reader.read_exact(&mut bytes)?;
     let mut indptr: Vec<usize> = Vec::new();
-    extend_indptr_from_le(&mut indptr, &bytes);
-    let mut bytes = vec![0u8; nnz * 4];
-    reader.read_exact(&mut bytes)?;
+    extend_indptr_from_le(&mut indptr, &read_len(reader, indptr_len)?);
     let mut indices: Vec<u32> = Vec::new();
-    extend_indices_from_le(&mut indices, &bytes);
-    let mut bytes = vec![0u8; nnz * dtype];
-    reader.read_exact(&mut bytes)?;
+    extend_indices_from_le(&mut indices, &read_len(reader, indices_len)?);
     let mut values: Vec<T> = Vec::new();
-    extend_values_from_le(&mut values, &bytes, dtype);
-    CsrMatrix::try_new(nrows, ncols, indptr, indices, values)
+    extend_values_from_le(
+        &mut values,
+        &read_len(reader, values_len)?,
+        header.dtype_bytes,
+    );
+    CsrMatrix::try_new(header.nrows, header.ncols, indptr, indices, values)
 }
 
-/// Borrowed view of one chunk's array regions inside a fully-read chunk
-/// byte buffer: a zero-copy split plus size validation, for consumers
-/// that append the arrays straight into a larger allocation (the shard
-/// stitch) instead of materializing a matrix per chunk.
-#[derive(Debug, Clone, Copy)]
-pub struct CsrChunkRegions<'a> {
-    /// The decoded fixed-size header.
-    pub header: CsrChunkHeader,
-    /// `(nrows + 1) × u64` little-endian row offsets.
-    pub indptr: &'a [u8],
-    /// `nnz × u32` little-endian column indices.
-    pub indices: &'a [u8],
-    /// `nnz × dtype` little-endian IEEE bit patterns.
-    pub values: &'a [u8],
-}
-
-impl CsrChunkRegions<'_> {
-    /// The row offsets, decoded one at a time.
-    pub fn indptr_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.indptr
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")) as usize)
+/// Read one chunk straight into caller-owned destination arrays — the
+/// shard stitch's path, which has already sized the final matrix and
+/// carved it into per-band ranges, so no per-chunk buffer exists.
+///
+/// `indptr_tail` receives row offsets 1..=nrows (the leading offset, which
+/// a well-formed chunk stores as 0, is returned instead, so adjacent bands'
+/// ranges stay disjoint); `indices` and `values` receive the body's `nnz`
+/// entries. The header must describe exactly those lengths, `ncols`
+/// columns and value type `T`. The row offsets are returned as stored:
+/// the caller validates them (or builds a matrix that does).
+pub fn read_csr_chunk_into<T: Scalar, R: Read>(
+    reader: &mut R,
+    ncols: usize,
+    indptr_tail: &mut [usize],
+    indices: &mut [u32],
+    values: &mut [T],
+) -> Result<usize, SparseError> {
+    let header = read_csr_chunk_header(reader)?;
+    header.check_dtype::<T>()?;
+    let [indptr_len, indices_len, values_len] = header.body_lens()?;
+    let want = (indptr_tail.len(), ncols, indices.len(), values.len());
+    let got = (header.nrows, header.ncols, header.nnz, header.nnz);
+    if got != want {
+        return Err(chunk_error(format!(
+            "CSR chunk holds nrows/ncols/nnz {:?}, destination expects {:?}",
+            (header.nrows, header.ncols, header.nnz),
+            (want.0, want.1, want.2)
+        )));
     }
-
-    /// Append every column index to `dst`.
-    pub fn extend_indices(&self, dst: &mut Vec<u32>) {
-        extend_indices_from_le(dst, self.indices);
+    let mut word = [0u8; 8];
+    reader.read_exact(&mut word)?;
+    let first = u64::from_le_bytes(word);
+    let first = usize::try_from(first)
+        .map_err(|_| chunk_error(format!("CSR chunk row offset {first} exceeds usize")))?;
+    if usize_is_le_u64() {
+        reader.read_exact(bytes_of_mut(indptr_tail))?;
+        reader.read_exact(bytes_of_mut(indices))?;
+        reader.read_exact(bytes_of_mut(values))?;
+    } else {
+        let offsets = read_len(reader, indptr_len - 8)?;
+        for (dst, w) in indptr_tail.iter_mut().zip(offsets.chunks_exact(8)) {
+            *dst = u64::from_le_bytes(w.try_into().expect("8-byte chunk")) as usize;
+        }
+        let bytes = read_len(reader, indices_len)?;
+        for (dst, w) in indices.iter_mut().zip(bytes.chunks_exact(4)) {
+            *dst = u32::from_le_bytes(w.try_into().expect("4-byte chunk"));
+        }
+        let dtype = header.dtype_bytes;
+        let bytes = read_len(reader, values_len)?;
+        for (dst, w) in values.iter_mut().zip(bytes.chunks_exact(dtype)) {
+            let mut bits = [0u8; 8];
+            bits[..dtype].copy_from_slice(w);
+            *dst = T::from_value_bits(u64::from_le_bytes(bits));
+        }
     }
-
-    /// Append every value to `dst`, preserving bit patterns.
-    pub fn extend_values<T: Scalar>(&self, dst: &mut Vec<T>) {
-        extend_values_from_le(dst, self.values, self.header.dtype_bytes);
-    }
-}
-
-/// Split a fully-read chunk byte buffer (as produced by
-/// [`write_csr_chunk`]) into its header and borrowed array regions.
-/// Validates the magic, the dtype against `T`, and that the buffer holds
-/// exactly the bytes the header promises — but not the CSR structural
-/// invariants, which the borrowing consumer checks (or trusts) itself.
-pub fn split_csr_chunk<T: Scalar>(bytes: &[u8]) -> Result<CsrChunkRegions<'_>, SparseError> {
-    let mut cursor = bytes;
-    let header = read_csr_chunk_header(&mut cursor)?;
-    if header.dtype_bytes != std::mem::size_of::<T>() {
-        return Err(SparseError::Parse {
-            line: 0,
-            msg: format!(
-                "CSR chunk dtype is {} bytes, expected {} for {}",
-                header.dtype_bytes,
-                std::mem::size_of::<T>(),
-                std::any::type_name::<T>()
-            ),
-        });
-    }
-    let (indptr_len, indices_len) = ((header.nrows + 1) * 8, header.nnz * 4);
-    let values_len = header.nnz * header.dtype_bytes;
-    if cursor.len() != indptr_len + indices_len + values_len {
-        return Err(SparseError::Parse {
-            line: 0,
-            msg: format!(
-                "CSR chunk body is {} bytes, header promises {}",
-                cursor.len(),
-                indptr_len + indices_len + values_len
-            ),
-        });
-    }
-    let (indptr, rest) = cursor.split_at(indptr_len);
-    let (indices, values) = rest.split_at(indices_len);
-    Ok(CsrChunkRegions {
-        header,
-        indptr,
-        indices,
-        values,
-    })
+    Ok(first)
 }
 
 /// Read a binary CSR spill chunk written by [`write_csr_chunk`].
@@ -727,39 +762,6 @@ mod tests {
         assert_eq!(body, m);
         assert!(cursor.is_empty(), "body must consume the chunk exactly");
         assert_eq!(chunk_roundtrip(&m), body);
-    }
-
-    #[test]
-    fn chunk_split_regions_reassemble_the_matrix() {
-        let m = CsrMatrix::try_new(
-            5,
-            3,
-            vec![0, 0, 2, 2, 3, 3],
-            vec![0, 2, 1],
-            vec![1.5f64, -2.5, 0.25],
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        write_csr_chunk(&m, &mut buf).unwrap();
-        let regions = split_csr_chunk::<f64>(&buf).unwrap();
-        assert_eq!(regions.header.nrows, 5);
-        assert_eq!(regions.header.nnz, 3);
-        let indptr: Vec<usize> = regions.indptr_iter().collect();
-        assert_eq!(indptr, vec![0, 0, 2, 2, 3, 3]);
-        let mut indices = Vec::new();
-        regions.extend_indices(&mut indices);
-        assert_eq!(indices, vec![0, 2, 1]);
-        let mut values = Vec::new();
-        regions.extend_values::<f64>(&mut values);
-        assert_eq!(values, vec![1.5, -2.5, 0.25]);
-        // a truncated body fails the exact-size check
-        let short = &buf[..buf.len() - 1];
-        assert!(matches!(
-            split_csr_chunk::<f64>(short).unwrap_err(),
-            SparseError::Parse { .. }
-        ));
-        // and the wrong dtype is rejected before any region math
-        assert!(split_csr_chunk::<f32>(&buf).is_err());
     }
 
     #[test]

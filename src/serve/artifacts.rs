@@ -13,6 +13,14 @@
 //! the device cost models: the same operands on a differently scaled
 //! platform legitimately pick different thresholds.
 //!
+//! Sharded multiplies store each band's Phase II/III plan inside the
+//! shared artifacts after they were inserted
+//! ([`SpmmArtifacts::band_plans`]), so an entry's size can change while it
+//! is cached. The cache therefore re-measures every entry's
+//! [`SpmmArtifacts::byte_size`] whenever it reports or enforces its byte
+//! total instead of remembering the size at insert: `stats().bytes` is
+//! always exact, and the cap is enforced on the next insert.
+//!
 //! The key deliberately does *not* include the fused-tier pin
 //! (`SPMM_FUSED` / `binning::fused`): artifacts are pre-numeric (they
 //! record thresholds, masks, and width tables, never engine scratch),
@@ -62,7 +70,6 @@ pub struct ArtifactStats {
 #[derive(Debug)]
 struct Entry {
     artifacts: Arc<SpmmArtifacts>,
-    bytes: usize,
     last_used: u64,
 }
 
@@ -70,11 +77,18 @@ struct Entry {
 struct Inner {
     map: HashMap<ArtifactKey, Entry>,
     tick: u64,
-    bytes: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
     purged: u64,
+}
+
+impl Inner {
+    /// Current heap bytes of every entry, band plans stored since insert
+    /// included.
+    fn bytes(&self) -> usize {
+        self.map.values().map(|e| e.artifacts.byte_size()).sum()
+    }
 }
 
 /// Thread-safe LRU cache of shared [`SpmmArtifacts`].
@@ -115,22 +129,17 @@ impl ArtifactCache {
     /// Insert (or refresh) an entry, evicting LRU entries over the cap.
     /// The entry just inserted is never evicted.
     pub fn insert(&self, key: ArtifactKey, artifacts: Arc<SpmmArtifacts>) {
-        let bytes = artifacts.byte_size();
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(old) = inner.map.insert(
+        inner.map.insert(
             key,
             Entry {
                 artifacts,
-                bytes,
                 last_used: tick,
             },
-        ) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        while inner.bytes > self.cap_bytes && inner.map.len() > 1 {
+        );
+        while inner.map.len() > 1 && inner.bytes() > self.cap_bytes {
             let Some((&victim, _)) = inner
                 .map
                 .iter()
@@ -139,8 +148,7 @@ impl ArtifactCache {
             else {
                 break;
             };
-            let entry = inner.map.remove(&victim).expect("victim exists");
-            inner.bytes -= entry.bytes;
+            inner.map.remove(&victim).expect("victim exists");
             inner.evictions += 1;
         }
     }
@@ -157,8 +165,7 @@ impl ArtifactCache {
             .copied()
             .collect();
         for key in victims {
-            let entry = inner.map.remove(&key).expect("victim exists");
-            inner.bytes -= entry.bytes;
+            inner.map.remove(&key).expect("victim exists");
             inner.purged += 1;
         }
     }
@@ -168,7 +175,7 @@ impl ArtifactCache {
         let inner = self.inner.lock().unwrap();
         ArtifactStats {
             entries: inner.map.len(),
-            bytes: inner.bytes,
+            bytes: inner.bytes(),
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
@@ -180,7 +187,7 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmm_core::HeteroContext;
+    use spmm_core::{hh_cpu_sharded_with_artifacts, HeteroContext, HhCpuConfig, ShardConfig};
     use spmm_scalefree::{scale_free_matrix, GeneratorConfig};
 
     fn build(seed: u64) -> Arc<SpmmArtifacts> {
@@ -251,6 +258,32 @@ mod tests {
 
         let cache = ArtifactCache::new(usize::MAX);
         cache.insert(key(1, 1), art.clone());
+        assert_eq!(cache.stats().bytes, art.byte_size());
+
+        // a sharded run after the insert stores its band plans in the
+        // cached artifacts: the entry grows, and the cache counts it
+        let before = art.byte_size();
+        let mut run_ctx = HeteroContext::scaled(16).with_host_threads(2);
+        let shard = ShardConfig::pooled(4);
+        let config = HhCpuConfig::default();
+        let out = hh_cpu_sharded_with_artifacts(&mut run_ctx, &a, &a, &config, &shard, &art);
+        let bounds = out.plan.bounds();
+        let plans = art
+            .band_plans(bounds, run_ctx.platform, None)
+            .expect("the sharded run stored its band plans");
+        let stored: usize = plans
+            .iter()
+            .map(|p| p.heap_bytes() + std::mem::size_of_val(p))
+            .sum();
+        let grown = art.byte_size() - before;
+        assert!(
+            grown >= stored + std::mem::size_of_val(bounds),
+            "band plans of {stored} B grew the entry by only {grown} B"
+        );
+        assert_eq!(cache.stats().bytes, art.byte_size());
+        // a warm sharded run reuses the stored plans and stores nothing
+        hh_cpu_sharded_with_artifacts(&mut run_ctx, &a, &a, &config, &shard, &art);
+        assert_eq!(art.byte_size(), before + grown);
         assert_eq!(cache.stats().bytes, art.byte_size());
     }
 

@@ -251,9 +251,24 @@ pub fn parse_multiply(item: &Json) -> Result<MultiplyRequest, String> {
         b: b.to_string(),
         policy: parse_policy(item.get("policy"))?,
         scale: item.usize_field("scale"),
-        shards: item.usize_field("shards"),
+        shards: parse_shards(item)?,
         byte_cap: item.usize_field("byte_cap"),
     })
+}
+
+/// Most row bands a request may cut A into. Each band runs the engine and
+/// keeps its own Phase II/III plan with the cached artifacts, so the cap
+/// also bounds that store.
+const MAX_SHARDS: usize = 1024;
+
+/// A multiply's optional `shards`, at most [`MAX_SHARDS`].
+fn parse_shards(item: &Json) -> Result<Option<usize>, String> {
+    match item.usize_field("shards") {
+        Some(shards) if shards > MAX_SHARDS => Err(format!(
+            "\"shards\" must be at most {MAX_SHARDS}, got {shards}"
+        )),
+        shards => Ok(shards),
+    }
 }
 
 fn stats_reply(service: &SpmmService) -> Json {
@@ -558,6 +573,10 @@ mod tests {
                 "bad_request",
             ),
             (nested.as_str(), "bad_request"),
+            (
+                r#"{"op":"multiply","a":"x","b":"x","shards":1025}"#,
+                "bad_request",
+            ),
         ] {
             let (reply, _) = handle_payload(&service, line.as_bytes());
             assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
