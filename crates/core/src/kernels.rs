@@ -16,9 +16,10 @@
 //!   into offsets, and a numeric pass writes each row into its pre-offset
 //!   slot of one shared [`RowBlock`]. No intermediate tuple stream exists,
 //!   so Phase IV degrades from a global sort to a per-row combine
-//!   (`merge::concat_row_blocks`). The numeric pass is *adaptive* by
-//!   default ([`AccumStrategy::Adaptive`]): rows are binned by their exact
-//!   symbolic nnz and routed to the cheapest accumulator variant —
+//!   (`merge::concat_row_blocks`). The engine is *adaptive* by default
+//!   ([`AccumStrategy::Adaptive`]): rows whose structural upper bound fits
+//!   the staging budget skip the symbolic pass and scatter once (the fused
+//!   tier), and every row is routed to the cheapest accumulator variant —
 //!   single-source rows to a verbatim scaled copy, tiny rows to a sorted
 //!   list, mid-size rows to a hash table, hubs to the dense SPA — with
 //!   bin-aware guided chunk sizes. Every variant shares the dense SPA's
@@ -31,7 +32,7 @@
 use std::sync::Mutex;
 
 use spmm_parallel::{DisjointSlice, ThreadPool};
-use spmm_sparse::binning::{fused, stats as bin_stats};
+use spmm_sparse::binning::stats as bin_stats;
 use spmm_sparse::coo::Triplet;
 use spmm_sparse::{
     chunk_for, fused_chunk_for, simd, upper_bound, AccumStrategy, BinThresholds, ColIndex,
@@ -267,9 +268,29 @@ fn row_products_fixed<T: Scalar>(
     pack_block(rows, indptr, indices, values)
 }
 
-/// The adaptive engine: bin rows by size and dispatch the cheapest
-/// accumulator per bin, with bin-aware guided chunk sizes (large chunks
-/// for the trivial tail bins, small chunks for the hub bins).
+/// The adaptive engine: the fused single-pass tier (Liu & Vinter's
+/// upper-bound binning, specialised to our bit-identical contract). A
+/// bounds pass gives every row its structural upper bound
+/// `ub = Σ masked |B(k,:)|` and its masked source count; rows then route
+/// three ways:
+///
+/// * **copy** (`nsrc ≤ 1`): the bound *is* the exact size — no symbolic
+///   work, no accumulator, a verbatim scaled copy of the B row.
+/// * **fused** (`nsrc ≥ 2`, `ub ≤ FUSED_UB_MAX`): scatter once through the
+///   accumulator the bound selects, drain into an exact-size staging
+///   carve-out, and record the now-exact size. The symbolic pass for these
+///   rows never runs; a compaction memcpy stitches each staged run into
+///   its final slot once the exclusive scan has fixed the offsets
+///   (the same offset fix-up discipline as `shard::concat_row_bands`).
+/// * **heavy** (`ub > FUSED_UB_MAX`): the bound is loose on hub rows with
+///   many colliding sources, so they keep the exact two-pass treatment —
+///   dense symbolic sizer, then numeric binned by exact nnz.
+///
+/// Bit-identity with the fixed-SPA reference holds by construction: every
+/// row is still produced by [`scatter_row`]'s accumulation order and an
+/// ascending drain (all accumulator variants share the dense SPA's
+/// observable semantics), staged runs are copied verbatim, and the scan
+/// runs over integer sizes that are exact in every bin.
 fn row_products_adaptive<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -279,22 +300,22 @@ fn row_products_adaptive<T: Scalar>(
     workspaces: &WorkspacePool,
 ) -> RowBlock<T> {
     let ncols = b.ncols();
-    let thresholds = BinThresholds::for_ncols(b.ncols());
+    let thresholds = BinThresholds::for_ncols(ncols);
 
-    // Pass 0: masked source stats per requested row — the structural
+    // Bounds pass: masked source stats per requested row — the structural
     // upper bound (sum of masked B-row sizes, exact when no column
     // collides) and the masked source count saturated at 2 ("exactly one"
     // is the only distinction that matters).
-    let mut flops = vec![0u64; rows.len()];
+    let mut ub = vec![0u64; rows.len()];
     let mut nsrc = vec![0u8; rows.len()];
     {
-        let out_f = DisjointSlice::new(&mut flops);
+        let out_u = DisjointSlice::new(&mut ub);
         let out_n = DisjointSlice::new(&mut nsrc);
         pool.for_each_guided(rows.len(), 8 * GUIDED_CHUNK, |range| {
             for k in range {
                 let bound = upper_bound::row_bound(a, b, rows[k], b_mask);
                 unsafe {
-                    out_f.write(k, bound.ub);
+                    out_u.write(k, bound.ub);
                     out_n.write(k, bound.nsrc);
                 }
             }
@@ -303,209 +324,9 @@ fn row_products_adaptive<T: Scalar>(
 
     // Tiny products can't amortise the extra bin dispatches — run the
     // single dense pass instead (same bits, fewer parallel loops).
-    if flops.iter().sum::<u64>() < TINY_PRODUCT_FLOPS {
+    if ub.iter().sum::<u64>() < TINY_PRODUCT_FLOPS {
         return row_products_fixed(a, b, rows, b_mask, pool, workspaces);
     }
-
-    // The fused single-pass tier: rows whose bound fits the staging budget
-    // skip the symbolic pass entirely. `SPMM_FUSED=off` pins the retained
-    // two-pass oracle below.
-    if fused::enabled() {
-        return row_products_adaptive_fused(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            &thresholds,
-            flops,
-            nsrc,
-        );
-    }
-
-    // Pass 1 (symbolic), binned by the FLOP bound (the exact nnz is not
-    // known yet — the bound is what this pass exists to refine). Single
-    // -source rows are sized for free: their output is the masked B row
-    // verbatim. Tiny rows dedup through a short sorted list with no
-    // O(ncols) state; everything else goes through the dense sizer.
-    let sym_bins = RowBins::build(
-        rows.len(),
-        &thresholds,
-        |k| flops[k] as usize,
-        |k| nsrc[k] as usize,
-    );
-    let mut sizes = vec![0u64; rows.len()];
-    for &k in &sym_bins.copy {
-        sizes[k as usize] = flops[k as usize];
-    }
-    {
-        let out = DisjointSlice::new(&mut sizes);
-        // Empty bins skip their dispatch entirely: on products whose rows
-        // all land in one bin, the other passes would otherwise each pay a
-        // full parallel fork for zero work (visible as 0-row entries in the
-        // spa_bin_* tallies).
-        if !sym_bins.list.is_empty() {
-            pool.for_each_guided_items(
-                &sym_bins.list,
-                chunk_for(RowBin::List),
-                || workspaces.acquire::<T>(ncols),
-                |ws, ks| {
-                    for &k in ks {
-                        let k = k as usize;
-                        let (acols, _) = a.row(rows[k]);
-                        ws.tiny_cols.clear();
-                        for &j in acols {
-                            if let Some(mask) = b_mask {
-                                if !mask[j as usize] {
-                                    continue;
-                                }
-                            }
-                            for &c in b.row(j as usize).0 {
-                                let pos = simd::lower_bound(&ws.tiny_cols, c);
-                                if ws.tiny_cols.get(pos) != Some(&c) {
-                                    ws.tiny_cols.insert(pos, c);
-                                }
-                            }
-                        }
-                        unsafe { out.write(k, ws.tiny_cols.len() as u64) };
-                    }
-                },
-            );
-        }
-        for (bin_rows, bin) in [
-            (&sym_bins.hash, RowBin::Hash),
-            (&sym_bins.dense, RowBin::Dense),
-        ] {
-            if bin_rows.is_empty() {
-                continue;
-            }
-            pool.for_each_guided_items(
-                bin_rows,
-                chunk_for(bin),
-                || workspaces.acquire::<T>(ncols),
-                |ws, ks| {
-                    for &k in ks {
-                        let k = k as usize;
-                        mark_row(a, b, rows[k], b_mask, &mut ws.sizer);
-                        unsafe { out.write(k, ws.sizer.finish_row() as u64) };
-                    }
-                },
-            );
-        }
-    }
-
-    let (indptr, total) = offsets_from_sizes(sizes, pool);
-
-    // Pass 2 (numeric), re-binned by the now-exact per-row nnz.
-    let num_bins = RowBins::build(
-        rows.len(),
-        &thresholds,
-        |k| indptr[k + 1] - indptr[k],
-        |k| nsrc[k] as usize,
-    );
-    let mut indices = vec![0 as ColIndex; total];
-    let mut values = vec![T::ZERO; total];
-    {
-        let out_idx = DisjointSlice::new(&mut indices);
-        let out_val = DisjointSlice::new(&mut values);
-
-        copy_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            &num_bins.copy,
-            &indptr,
-            &out_idx,
-            &out_val,
-        );
-
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &num_bins.list,
-            RowBin::List,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_list,
-        );
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &num_bins.hash,
-            RowBin::Hash,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_hash,
-        );
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &num_bins.dense,
-            RowBin::Dense,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_spa,
-        );
-    }
-
-    pack_block(rows, indptr, indices, values)
-}
-
-/// The fused single-pass engine (Liu & Vinter's upper-bound binning,
-/// specialised to our bit-identical contract). Rows route three ways off
-/// the Pass-0 structural bound:
-///
-/// * **copy** (`nsrc ≤ 1`): the bound *is* the exact size — no symbolic
-///   work, no accumulator, same verbatim scaled copy as the two-pass path.
-/// * **fused** (`nsrc ≥ 2`, `ub ≤ FUSED_UB_MAX`): scatter once through the
-///   accumulator the bound selects, drain into an exact-size staging
-///   carve-out, and record the now-exact size. The symbolic pass for these
-///   rows never runs; a compaction memcpy stitches each staged run into
-///   its final slot once the exclusive scan has fixed the offsets
-///   (the same offset fix-up discipline as `shard::concat_row_bands`).
-/// * **heavy** (`ub > FUSED_UB_MAX`): the bound is loose on hub rows with
-///   many colliding sources, so they keep the exact two-pass treatment —
-///   dense symbolic sizer, then numeric re-binned by exact nnz.
-///
-/// Bit-identity with the two-pass oracle holds by construction: every row
-/// is still produced by [`scatter_row`]'s accumulation order and an
-/// ascending drain (all accumulator variants share the dense SPA's
-/// observable semantics), staged runs are copied verbatim, and the scan
-/// runs over integer sizes that are exact in every bin.
-#[allow(clippy::too_many_arguments)]
-fn row_products_adaptive_fused<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    rows: &[usize],
-    b_mask: Option<&[bool]>,
-    pool: &ThreadPool,
-    workspaces: &WorkspacePool,
-    thresholds: &BinThresholds,
-    ub: Vec<u64>,
-    nsrc: Vec<u8>,
-) -> RowBlock<T> {
-    let ncols = b.ncols();
 
     let mut sizes = vec![0u64; rows.len()];
     let mut copy: Vec<u32> = Vec::new();
@@ -516,7 +337,7 @@ fn row_products_adaptive_fused<T: Scalar>(
             sizes[k] = ub[k];
             copy.push(k as u32);
         } else if ub[k] <= FUSED_UB_MAX {
-            match thresholds.classify(ub[k] as usize, 2) {
+            match thresholds.classify(ub[k] as usize) {
                 RowBin::List => fused_bins.list.push(k as u32),
                 RowBin::Hash => fused_bins.hash.push(k as u32),
                 _ => fused_bins.dense.push(k as u32),
@@ -573,57 +394,21 @@ fn row_products_adaptive_fused<T: Scalar>(
         let mut heavy_bins = RowBins::default();
         for &k in &heavy {
             let k = k as usize;
-            match thresholds.classify(indptr[k + 1] - indptr[k], 2) {
+            match thresholds.classify(indptr[k + 1] - indptr[k]) {
                 RowBin::List => heavy_bins.list.push(k as u32),
                 RowBin::Hash => heavy_bins.hash.push(k as u32),
                 _ => heavy_bins.dense.push(k as u32),
             }
         }
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &heavy_bins.list,
-            RowBin::List,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_list,
-        );
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &heavy_bins.hash,
-            RowBin::Hash,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_hash,
-        );
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &heavy_bins.dense,
-            RowBin::Dense,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_spa,
-        );
+        #[rustfmt::skip]
+        {
+            numeric_bin(a, b, rows, b_mask, pool, workspaces, ncols, &heavy_bins.list,
+                RowBin::List, &indptr, &out_idx, &out_val, sel_list);
+            numeric_bin(a, b, rows, b_mask, pool, workspaces, ncols, &heavy_bins.hash,
+                RowBin::Hash, &indptr, &out_idx, &out_val, sel_hash);
+            numeric_bin(a, b, rows, b_mask, pool, workspaces, ncols, &heavy_bins.dense,
+                RowBin::Dense, &indptr, &out_idx, &out_val, sel_spa);
+        };
 
         compact_staged(
             pool,
@@ -772,12 +557,12 @@ pub(crate) fn compact_staged<T: Scalar>(
     }
 }
 
-/// The copy bin, shared by the two-pass and fused engines: the output row
+/// The copy bin: the output row
 /// is `a_ij × B[j, :]` verbatim — each column is touched exactly once and
 /// B columns already ascend, so the copy is bit-identical to any
 /// accumulator run and needs no accumulator state at all. SoA form: one
-/// memcpy of B's columns plus one vectorized scaled copy of its values per
-/// source row.
+/// memcpy of B's columns plus one scaled copy of its values per source
+/// row.
 #[allow(clippy::too_many_arguments)]
 fn copy_bin<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -850,9 +635,9 @@ pub(crate) fn sel_spa<T: Scalar>(
     &mut ws.spa
 }
 
-/// One numeric bin: scatter every row through the accumulator `sel`
-/// chooses and drain it — SoA bulk drain straight into its pre-offset
-/// column/value slots, so the variants' vectorized gathers apply.
+/// One numeric bin (the heavy rows, sized exactly): scatter every row
+/// through the accumulator `sel` chooses and drain it — SoA bulk drain
+/// straight into its pre-offset column/value slots.
 #[allow(clippy::too_many_arguments)]
 fn numeric_bin<T, A, Sel>(
     a: &CsrMatrix<T>,

@@ -33,7 +33,6 @@ use std::sync::Mutex;
 
 use spmm_hetsim::DeviceKind;
 use spmm_parallel::{exclusive_scan, DisjointSlice, ThreadPool};
-use spmm_sparse::binning::fused;
 use spmm_sparse::{
     chunk_for, fused_chunk_for, simd, upper_bound, AccumStrategy, BinThresholds, ColIndex,
     CsrMatrix, EngineWorkspace, RowAccumulator, RowBin, RowBins, Scalar, StagingBuffer,
@@ -191,11 +190,10 @@ fn execute_per_claim<T: Scalar>(
 
 /// One guided symbolic pass + scan + one guided numeric pass over all
 /// claims at once; rows land directly in their final slots. Under
-/// [`AccumStrategy::Adaptive`], single-claim output rows (the vast
-/// majority — only rows claimed under both mask halves have two sources)
-/// are additionally binned by their exact nnz and routed to the cheapest
-/// accumulator with bin-aware chunk sizes; multi-source rows always run
-/// the dense merge path.
+/// [`AccumStrategy::Adaptive`] the fused tier ([`execute_batched_fused`])
+/// runs instead unless the product is tiny; what remains here is the
+/// reference shape — every single-claim row through the dense SPA, every
+/// multi-source row through the claim-order merge.
 fn execute_batched<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -230,11 +228,10 @@ fn execute_batched<T: Scalar>(
         }
     }
 
-    // The fused single-pass tier (Adaptive only): bounded single-source
-    // rows skip the symbolic sizer. Declines (None) when the bound says
-    // the product is tiny — the classic single dense pass below costs
-    // less than the fused tier's bin dispatches.
-    if cfg.accum == AccumStrategy::Adaptive && fused::enabled() {
+    // The fused single-pass tier (Adaptive only). It declines (None) when
+    // the bound says the product is tiny — the single dense pass below
+    // costs less than the fused tier's bin dispatches (same bits).
+    if cfg.accum == AccumStrategy::Adaptive {
         if let Some(out) =
             execute_batched_fused(a, b, schedule, shape, pool, workspaces, &src, &src_off)
         {
@@ -245,14 +242,10 @@ fn execute_batched<T: Scalar>(
     // Symbolic: distinct columns of each merged output row — the union
     // over the row's sources, marked through one pooled RowSizer.
     // Integers, so equal to the per-claim sizes fed through the old
-    // per-row merge. Alongside the size, record the masked B-source count
-    // (saturated at 2) for single-claim rows — the numeric binning's
-    // copy-bin test.
+    // per-row merge.
     let mut sizes = vec![0u64; nrows];
-    let mut nsrc = vec![0u8; nrows];
     {
         let out = DisjointSlice::new(&mut sizes);
-        let out_n = DisjointSlice::new(&mut nsrc);
         let src = &src;
         let src_off = &src_off;
         pool.for_each_guided_with(
@@ -261,18 +254,8 @@ fn execute_batched<T: Scalar>(
             || workspaces.acquire_sizer(ncols),
             |sizer, range| {
                 for r in range {
-                    let sources = &src[src_off[r]..src_off[r + 1]];
-                    if sources.is_empty() {
-                        // one writer per output row
-                        unsafe {
-                            out.write(r, 0);
-                            out_n.write(r, 0);
-                        }
-                        continue;
-                    }
                     let (acols, _) = a.row(r);
-                    let mut n = 0u8;
-                    for &ci in sources {
+                    for &ci in &src[src_off[r]..src_off[r + 1]] {
                         let b_mask = claims[ci as usize].b_mask;
                         for &j in acols {
                             if let Some(mask) = b_mask {
@@ -280,20 +263,13 @@ fn execute_batched<T: Scalar>(
                                     continue;
                                 }
                             }
-                            n = n.saturating_add(1);
                             for &c in b.row(j as usize).0 {
                                 sizer.mark(c);
                             }
                         }
                     }
-                    if sources.len() > 1 {
-                        // multi-source rows never take the copy fast path
-                        n = 2;
-                    }
-                    unsafe {
-                        out.write(r, sizer.finish_row() as u64);
-                        out_n.write(r, n);
-                    }
+                    // one writer per output row
+                    unsafe { out.write(r, sizer.finish_row() as u64) };
                 }
             },
         );
@@ -304,41 +280,17 @@ fn execute_batched<T: Scalar>(
     indptr.extend(sizes.iter().map(|&s| s as usize));
     indptr.push(total);
 
-    // Partition output rows for the numeric pass: multi-source rows take
-    // the k-way merge path; single-source rows are binned by exact nnz
-    // under Adaptive, or all sent to the dense SPA under FixedSpa. Tiny
-    // products can't amortise the extra bin dispatches, so they run the
-    // dense pass regardless of strategy (same bits, fewer parallel loops).
-    let thresholds = BinThresholds::for_ncols(b.ncols());
-    let binned = cfg.accum == AccumStrategy::Adaptive && total as u64 >= TINY_PRODUCT_FLOPS;
-    let mut bins = RowBins::default();
+    // Multi-source rows take the k-way merge path; single-source rows all
+    // run the dense SPA.
+    let mut single: Vec<u32> = Vec::new();
     let mut multi: Vec<u32> = Vec::new();
     for r in 0..nrows {
         match src_off[r + 1] - src_off[r] {
             0 => {}
-            1 => {
-                let bin = if binned {
-                    thresholds.classify(indptr[r + 1] - indptr[r], nsrc[r] as usize)
-                } else {
-                    RowBin::Dense
-                };
-                match bin {
-                    RowBin::Copy => bins.copy.push(r as u32),
-                    RowBin::List => bins.list.push(r as u32),
-                    RowBin::Hash => bins.hash.push(r as u32),
-                    RowBin::Dense => bins.dense.push(r as u32),
-                }
-            }
+            1 => single.push(r as u32),
             _ => multi.push(r as u32),
         }
     }
-    let chunk_of = |bin: RowBin| {
-        if binned {
-            chunk_for(bin)
-        } else {
-            GUIDED_CHUNK
-        }
-    };
 
     // Numeric: each output row is produced once, straight into its slot.
     // Per-claim entry counts accumulate through relaxed atomics — integer
@@ -350,100 +302,16 @@ fn execute_batched<T: Scalar>(
     {
         let out_idx = DisjointSlice::new(&mut indices);
         let out_val = DisjointSlice::new(&mut values);
-        let src = &src;
-        let src_off = &src_off;
-        let indptr = &indptr;
-        let per_claim = &per_claim;
-
-        claim_copy_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            &bins.copy,
-            chunk_of(RowBin::Copy),
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-        );
-
-        // Sized single-source bins: sole producer of the row, so the
-        // accumulator drain *is* the final row (the per-claim path drained
-        // into a block and bare-copied it).
-        single_source_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &bins.list,
-            chunk_of(RowBin::List),
-            RowBin::List,
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-            sel_list,
-        );
-        single_source_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &bins.hash,
-            chunk_of(RowBin::Hash),
-            RowBin::Hash,
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-            sel_hash,
-        );
-        single_source_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &bins.dense,
-            chunk_of(RowBin::Dense),
-            RowBin::Dense,
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-            sel_spa,
-        );
-
-        multi_source_pass(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &multi,
-            chunk_of(RowBin::Dense),
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-        );
+        let (src, src_off, indptr, per_claim) = (&src, &src_off, &indptr, &per_claim);
+        // Sole producer of the row, so the SPA drain *is* the final row
+        // (the per-claim path drained into a block and bare-copied it).
+        #[rustfmt::skip]
+        {
+            single_source_bin(a, b, claims, src, src_off, pool, workspaces, ncols, &single,
+                GUIDED_CHUNK, RowBin::Dense, indptr, &out_idx, &out_val, per_claim, sel_spa);
+            multi_source_pass(a, b, claims, src, src_off, pool, workspaces, ncols, &multi,
+                GUIDED_CHUNK, indptr, &out_idx, &out_val, per_claim);
+        };
     }
 
     let per_claim: Vec<usize> = per_claim.into_iter().map(|n| n.into_inner()).collect();
@@ -580,7 +448,7 @@ fn execute_batched_fused<T: Scalar>(
                     sizes[r] = ub[r];
                     bins.copy.push(r as u32);
                 } else if ub[r] <= FUSED_UB_MAX {
-                    match thresholds.classify(ub[r] as usize, 2) {
+                    match thresholds.classify(ub[r] as usize) {
                         RowBin::List => bins.list.push(r as u32),
                         RowBin::Hash => bins.hash.push(r as u32),
                         _ => bins.dense.push(r as u32),
@@ -679,18 +547,7 @@ fn execute_batched_fused<T: Scalar>(
         let per_claim = &per_claim;
 
         claim_copy_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            &bins.copy,
-            chunk_for(RowBin::Copy),
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
+            a, b, claims, src, src_off, pool, &bins.copy, indptr, &out_idx, &out_val, per_claim,
         );
 
         // Heavy single-source rows re-bin by their now-exact nnz — a hub's
@@ -698,7 +555,7 @@ fn execute_batched_fused<T: Scalar>(
         let mut heavy_bins = RowBins::default();
         for &r in &heavy {
             let r = r as usize;
-            match thresholds.classify(indptr[r + 1] - indptr[r], 2) {
+            match thresholds.classify(indptr[r + 1] - indptr[r]) {
                 RowBin::List => heavy_bins.list.push(r as u32),
                 RowBin::Hash => heavy_bins.hash.push(r as u32),
                 _ => heavy_bins.dense.push(r as u32),
@@ -809,8 +666,7 @@ fn fused_claim_bin<T, A, Sel>(
     }
 }
 
-/// The batched executor's copy bin, shared by the classic and fused
-/// shapes: sole claim, sole masked source — the output row is the scaled
+/// The fused executor's copy bin: sole claim, sole masked source — the output row is the scaled
 /// B row verbatim. SoA form: one memcpy of B's columns plus one
 /// vectorized scaled copy of its values. Empty bins skip their dispatch
 /// entirely (a parallel fork for zero work shows up as pure overhead on
@@ -824,7 +680,6 @@ fn claim_copy_bin<T: Scalar>(
     src_off: &[usize],
     pool: &ThreadPool,
     bin_rows: &[u32],
-    chunk: usize,
     indptr: &[usize],
     out_idx: &DisjointSlice<'_, ColIndex>,
     out_val: &DisjointSlice<'_, T>,
@@ -836,7 +691,7 @@ fn claim_copy_bin<T: Scalar>(
     let t0 = bin_pass_start();
     pool.for_each_guided_items(
         bin_rows,
-        chunk,
+        chunk_for(RowBin::Copy),
         || (),
         |(), rs| {
             for &r in rs {
@@ -1160,7 +1015,7 @@ fn fused_multi_pass<T: Scalar>(
                             cols.clear();
                             vals.clear();
                             let b_mask = claims[ci as usize].b_mask;
-                            let n = match thresholds.classify(cap, 2) {
+                            let n = match thresholds.classify(cap) {
                                 RowBin::List => run_into(a, b, r, b_mask, list, cols, vals),
                                 RowBin::Hash => {
                                     hash.ensure_capacity(cap);
@@ -1268,7 +1123,7 @@ fn fused_multi_pass<T: Scalar>(
                             // bounded rows thereby keep their working set
                             // in a small table instead of scattering into
                             // the ncols-wide dense SPA.
-                            _ => match thresholds.classify(cap, 2) {
+                            _ => match thresholds.classify(cap) {
                                 RowBin::List => run_into(a, b, r, b_mask, list, cols, vals),
                                 RowBin::Hash => {
                                     hash.ensure_capacity(cap);

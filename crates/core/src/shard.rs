@@ -57,8 +57,7 @@ use crate::hhcpu::{run_with_artifacts, HhCpuConfig, SpmmArtifacts};
 use crate::plan::ClaimPlan;
 use crate::result::SpmmOutput;
 
-/// Runtime pin for the out-of-core pipeline, mirroring the
-/// `SPMM_FUSED`/`SPMM_SIMD` dispatch idiom: `SPMM_SHARD_IO_THREADS=0`
+/// Runtime pin for the out-of-core pipeline: `SPMM_SHARD_IO_THREADS=0`
 /// forces the synchronous fallback (sequential bands, inline spill I/O);
 /// unset or any positive count runs the pipelined path (one write-behind
 /// spill thread + one stitch prefetch thread). [`io_mode::set_forced`] is

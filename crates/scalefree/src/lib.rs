@@ -20,9 +20,7 @@
 pub mod catalog;
 pub mod generator;
 pub mod powerlaw;
-pub mod preferential;
 
 pub use catalog::{CatalogEntry, Dataset, CATALOG};
 pub use generator::{rmat, scale_free_matrix, GeneratorConfig, RowSizeDistribution};
 pub use powerlaw::{fit_power_law, PowerLawFit, PowerLawSampler};
-pub use preferential::barabasi_albert;

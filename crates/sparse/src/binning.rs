@@ -2,10 +2,11 @@
 //!
 //! Scale-free inputs (§II, Fig. 1) spread intermediate row sizes over
 //! orders of magnitude, so one accumulator shape cannot fit every output
-//! row. After the symbolic pass each row's exact nnz is known, and the
-//! engine routes it to the cheapest accumulator that holds it (Liu &
-//! Vinter's size-binned dispatch, specialised to our bit-identical
-//! contract):
+//! row. The engine routes each row to the cheapest accumulator that holds
+//! it (Liu & Vinter's upper-bound binning, specialised to our
+//! bit-identical contract): rows whose structural bound fits
+//! [`FUSED_UB_MAX`] are binned by that bound and scattered once; heavier
+//! rows are sized exactly first and binned by their exact nnz.
 //!
 //! * [`RowBin::Copy`] — rows fed by exactly one masked B row. The output
 //!   is `a_ij × B[j, :]` verbatim: each column is touched exactly once and
@@ -44,63 +45,21 @@ pub const TINY_PRODUCT_FLOPS: u64 = 32 * 1024;
 /// the very caches the accumulators are tuned for.
 pub const FUSED_UB_MAX: u64 = 4096;
 
-/// Runtime switch for the fused single-pass tier, mirroring the
-/// `SPMM_SIMD` dispatch idiom: `SPMM_FUSED=off|0|false` pins the engines
-/// to the retained two-pass oracle (the CI `fused-off` leg), anything else
-/// leaves the fused tier on. [`fused::set_forced`] is the in-process test
-/// hook the equivalence suites flip to compare both paths bit for bit.
-pub mod fused {
-    use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
-    use std::sync::OnceLock;
-
-    /// 0 = follow the environment, 1 = forced off, 2 = forced on.
-    static FORCED: AtomicU8 = AtomicU8::new(0);
-    static FROM_ENV: OnceLock<bool> = OnceLock::new();
-
-    fn env_enabled() -> bool {
-        !matches!(
-            std::env::var("SPMM_FUSED").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    }
-
-    /// Should the engines route bounded rows through the fused tier?
-    #[inline]
-    pub fn enabled() -> bool {
-        match FORCED.load(Relaxed) {
-            1 => false,
-            2 => true,
-            _ => *FROM_ENV.get_or_init(env_enabled),
-        }
-    }
-
-    /// Test hook: pin the tier on/off (`Some`) or restore the environment
-    /// default (`None`). Process-global — serialize tests that flip it.
-    pub fn set_forced(on: Option<bool>) {
-        FORCED.store(
-            match on {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            },
-            Relaxed,
-        );
-    }
-}
-
 /// Which accumulator strategy the numeric engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccumStrategy {
-    /// Bin rows by exact symbolic nnz and dispatch size-appropriate
-    /// accumulators with bin-aware chunk sizes.
+    /// Bin rows by their structural upper bound (exact nnz for rows over
+    /// [`FUSED_UB_MAX`]) and dispatch size-appropriate accumulators with
+    /// bin-aware chunk sizes.
     #[default]
     Adaptive,
-    /// The pre-binning reference: one dense SPA for every row. Kept as the
-    /// bit-identity oracle for tests and A/B timing.
+    /// The reference: exact symbolic pass, then one dense SPA for every
+    /// row. Kept as the bit-identity oracle for tests and A/B timing.
     FixedSpa,
 }
 
-/// Size thresholds separating the accumulator bins, in exact output nnz.
+/// Size thresholds separating the accumulator bins, in output entries
+/// (a row's bound, or its exact nnz once sized).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinThresholds {
     /// Rows with `nnz ≤ list_max` use the sorted-insertion list.
@@ -154,15 +113,15 @@ impl BinThresholds {
         }
     }
 
-    /// Route a row with exact output `nnz`, fed by `nsrc` masked B rows
-    /// (callers may saturate `nsrc` at 2 — only "exactly one" matters).
+    /// The accumulator bin for a row of `size` output entries (its bound,
+    /// or its exact nnz once sized). Never [`RowBin::Copy`]: single-source
+    /// rows are routed to the copy bin by their source count before any
+    /// size is looked at.
     #[inline]
-    pub fn classify(&self, nnz: usize, nsrc: usize) -> RowBin {
-        if nsrc <= 1 {
-            RowBin::Copy
-        } else if nnz <= self.list_max {
+    pub fn classify(&self, size: usize) -> RowBin {
+        if size <= self.list_max {
             RowBin::List
-        } else if nnz <= self.hash_max {
+        } else if size <= self.hash_max {
             RowBin::Hash
         } else {
             RowBin::Dense
@@ -204,39 +163,6 @@ pub struct RowBins {
     pub list: Vec<u32>,
     pub hash: Vec<u32>,
     pub dense: Vec<u32>,
-}
-
-impl RowBins {
-    /// Partition `0..n` by `classify(nnz(k), nsrc(k))`.
-    pub fn build(
-        n: usize,
-        thresholds: &BinThresholds,
-        mut nnz: impl FnMut(usize) -> usize,
-        mut nsrc: impl FnMut(usize) -> usize,
-    ) -> Self {
-        let mut bins = Self::default();
-        for k in 0..n {
-            let bin = thresholds.classify(nnz(k), nsrc(k));
-            let v = match bin {
-                RowBin::Copy => &mut bins.copy,
-                RowBin::List => &mut bins.list,
-                RowBin::Hash => &mut bins.hash,
-                RowBin::Dense => &mut bins.dense,
-            };
-            v.push(k as u32);
-        }
-        bins
-    }
-
-    /// Total rows across all bins.
-    pub fn len(&self) -> usize {
-        self.copy.len() + self.list.len() + self.hash.len() + self.dense.len()
-    }
-
-    /// True when no rows were binned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Opt-in per-bin tallies, so bin-threshold tuning is data-driven instead
@@ -340,24 +266,21 @@ mod tests {
     #[test]
     fn classify_respects_thresholds() {
         let t = BinThresholds::default();
-        assert_eq!(t.classify(0, 0), RowBin::Copy);
-        assert_eq!(t.classify(100, 1), RowBin::Copy);
-        assert_eq!(t.classify(0, 2), RowBin::List);
-        assert_eq!(t.classify(8, 2), RowBin::List);
-        assert_eq!(t.classify(9, 2), RowBin::Hash);
-        assert_eq!(t.classify(1024, 5), RowBin::Hash);
-        assert_eq!(t.classify(1025, 5), RowBin::Dense);
+        assert_eq!(t.classify(0), RowBin::List);
+        assert_eq!(t.classify(8), RowBin::List);
+        assert_eq!(t.classify(9), RowBin::Hash);
+        assert_eq!(t.classify(1024), RowBin::Hash);
+        assert_eq!(t.classify(1025), RowBin::Dense);
     }
 
     #[test]
     fn narrow_outputs_disable_the_hash_bin() {
         let narrow = BinThresholds::for_ncols(4_000);
-        assert_eq!(narrow.classify(100, 2), RowBin::Dense);
-        assert_eq!(narrow.classify(8, 2), RowBin::List);
-        assert_eq!(narrow.classify(100, 1), RowBin::Copy);
+        assert_eq!(narrow.classify(100), RowBin::Dense);
+        assert_eq!(narrow.classify(8), RowBin::List);
         let wide = BinThresholds::for_ncols(1 << 20);
         assert_eq!(wide, BinThresholds::default());
-        assert_eq!(wide.classify(100, 2), RowBin::Hash);
+        assert_eq!(wide.classify(100), RowBin::Hash);
     }
 
     #[test]
@@ -366,33 +289,5 @@ mod tests {
         assert!(chunk_for(RowBin::List) > chunk_for(RowBin::Hash));
         assert!(chunk_for(RowBin::Hash) > chunk_for(RowBin::Dense));
         assert!(chunk_for(RowBin::Dense) >= 1);
-    }
-
-    #[test]
-    fn fused_forcing_overrides_the_environment() {
-        fused::set_forced(Some(false));
-        assert!(!fused::enabled());
-        fused::set_forced(Some(true));
-        assert!(fused::enabled());
-        fused::set_forced(None);
-        let env_default = fused::enabled();
-        // unset/garbage SPMM_FUSED means on; only off/0/false disable
-        if std::env::var("SPMM_FUSED").is_err() {
-            assert!(env_default);
-        }
-    }
-
-    #[test]
-    fn build_partitions_in_order() {
-        let t = BinThresholds::default();
-        let sizes = [3usize, 2000, 50, 1, 7, 400];
-        let nsrc = [2usize, 3, 2, 1, 2, 0];
-        let bins = RowBins::build(6, &t, |k| sizes[k], |k| nsrc[k]);
-        assert_eq!(bins.copy, vec![3, 5]);
-        assert_eq!(bins.list, vec![0, 4]);
-        assert_eq!(bins.hash, vec![2]);
-        assert_eq!(bins.dense, vec![1]);
-        assert_eq!(bins.len(), 6);
-        assert!(!bins.is_empty());
     }
 }

@@ -11,7 +11,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
-use crate::{CooMatrix, CsrMatrix, Scalar, SparseError};
+use crate::{ColIndex, CooMatrix, CsrMatrix, Scalar, SparseError};
 
 /// Kind of value field in the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,9 +123,31 @@ pub fn read_matrix_market_from<T: Scalar, R: Read>(reader: R) -> Result<CsrMatri
         });
     }
     let (nrows, ncols, declared_nnz) = (dims[0], dims[1], dims[2]);
+    // Coordinates are stored as `ColIndex`, so a larger dimension cannot
+    // be represented (and `nrows + 1` row offsets must not wrap).
+    let max_dim = ColIndex::MAX as usize;
+    if nrows > max_dim || ncols > max_dim {
+        return Err(SparseError::Parse {
+            line: lineno,
+            msg: format!("shape {nrows}x{ncols} exceeds the index range {max_dim}"),
+        });
+    }
+    if nrows
+        .checked_mul(ncols)
+        .is_none_or(|cells| declared_nnz > cells)
+    {
+        return Err(SparseError::Parse {
+            line: lineno,
+            msg: format!("declared {declared_nnz} entries exceed a {nrows}x{ncols} matrix"),
+        });
+    }
 
     // --- entries ---
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, declared_nnz);
+    // The reservation is capped: the declared count only sizes the
+    // buffer, so a file that promises more entries than it holds grows as
+    // entries arrive instead of allocating up front.
+    const PREALLOC_ENTRIES: usize = 1 << 20;
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, declared_nnz.min(PREALLOC_ENTRIES));
     let mut seen = 0usize;
     for (n, line) in lines {
         let line = line?;

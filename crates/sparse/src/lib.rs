@@ -25,7 +25,6 @@ pub mod coo;
 pub mod csc;
 pub mod csr;
 pub mod dense;
-pub mod ell;
 pub mod error;
 pub mod histogram;
 pub mod io;
@@ -47,11 +46,9 @@ pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use ell::EllMatrix;
 pub use error::SparseError;
 pub use histogram::RowHistogram;
 pub use scalar::Scalar;
-pub use simd::SimdLevel;
 pub use upper_bound::RowBound;
 pub use workspace::{EngineWorkspace, PooledSizer, PooledWorkspace, StagingBuffer, WorkspacePool};
 

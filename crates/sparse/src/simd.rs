@@ -1,105 +1,32 @@
-//! SIMD kernels for the numeric hot loops, behind runtime dispatch.
+//! Vector-friendly kernels for the numeric hot loops.
 //!
-//! Every primitive here has two shapes with **bit-identical** results:
+//! The SpGEMM-side primitives — the SPA and hash drains ([`gather_into`],
+//! [`gather_packed_into`]), the single-source scaled copy
+//! ([`scaled_copy`]) and the list accumulator's [`lower_bound`] — are
+//! portable loops shaped so the compiler can unroll and vectorize them.
+//! None of them reorders a floating-point operation, so their output is
+//! the same on every platform.
 //!
-//! * a chunked scalar loop (auto-vectorizable stable Rust) that is always
-//!   compiled and serves as the oracle, and
-//! * an explicit AVX2 `core::arch` variant for `f64` on `x86_64`, compiled
-//!   behind the `simd` cargo feature and selected at runtime via
-//!   `is_x86_feature_detected!("avx2")`.
-//!
-//! Bit-identity holds because none of the dispatched primitives reorders a
-//! floating-point reduction: gathers, scaled copies (elementwise `a * b`),
-//! and lower bounds are permutation-free, and the register-tiled `csrmm`
-//! kernel keeps each output element's additions in the exact `j`-order of
-//! the serial reference, starting from `T::ZERO`. The one FP-reordering
-//! variant — the tree-reduced csrmm tile ([`csrmm_row_tree_into`]) — is
-//! *not* dispatched implicitly; callers opt in explicitly and gate it with
-//! a tolerance, never with bit equality.
-//!
-//! The active level can be forced (`set_forced`) so perf probes and the
-//! equivalence suite can pin scalar-vs-vector runs against each other, and
-//! the `SPMM_SIMD` environment variable (`scalar`/`off`/`0`) disables the
-//! vector path process-wide for CI's scalar-fallback leg.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+//! The register-tiled `csrmm` row kernel ([`csrmm_row_into`]) also has an
+//! explicit AVX2 variant for `f64` on `x86_64`, selected from the platform
+//! alone (`is_x86_feature_detected!("avx2")`, whose probe std caches),
+//! with the portable tile as the fallback everywhere else. Both tiles keep
+//! each output element's additions in the exact `j`-order of the serial
+//! reference, starting from `T::ZERO`, so both are **bit-identical** to
+//! [`crate::reference::csrmm`]. The one FP-reordering variant — the
+//! tree-reduced tile ([`csrmm_row_tree_into`]) — is never selected
+//! implicitly; callers opt in and gate it with a tolerance, never with bit
+//! equality.
 
 use crate::{ColIndex, DenseMatrix, Scalar};
 
-/// Instruction-set level a primitive may run at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// Chunked scalar loops only (the oracle shape).
-    Scalar,
-    /// 256-bit AVX2 gathers / multiplies for `f64` lanes.
-    Avx2,
-}
-
-/// `FORCED` encoding: 0 = auto-detect, 1 = force scalar, 2 = force AVX2
-/// (downgraded to scalar when the CPU lacks it — we never fabricate lanes).
-static FORCED: AtomicU8 = AtomicU8::new(0);
-static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
-
-fn detect() -> SimdLevel {
-    if matches!(
-        std::env::var("SPMM_SIMD").as_deref(),
-        Ok("0") | Ok("off") | Ok("scalar")
-    ) {
-        return SimdLevel::Scalar;
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return SimdLevel::Avx2;
-    }
-    SimdLevel::Scalar
-}
-
-fn hardware_level() -> SimdLevel {
-    *DETECTED.get_or_init(detect)
-}
-
-/// The level the dispatched primitives will use right now.
-#[inline]
-pub fn level() -> SimdLevel {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => SimdLevel::Scalar,
-        2 => match hardware_level() {
-            SimdLevel::Avx2 => SimdLevel::Avx2,
-            SimdLevel::Scalar => SimdLevel::Scalar,
-        },
-        _ => hardware_level(),
-    }
-}
-
-/// Force a dispatch level process-wide (`None` restores auto-detection).
-///
-/// Because every dispatched primitive is bit-identical across levels, a
-/// concurrent flip mid-run only changes timing, never output — tests that
-/// compare levels still serialize with a lock to time what they think they
-/// are timing.
-pub fn set_forced(level: Option<SimdLevel>) {
-    let code = match level {
-        None => 0,
-        Some(SimdLevel::Scalar) => 1,
-        Some(SimdLevel::Avx2) => 2,
-    };
-    FORCED.store(code, Ordering::Relaxed);
-}
-
-/// True when [`level`] currently resolves to an actual vector path.
-#[inline]
-pub fn vectorized() -> bool {
-    level() == SimdLevel::Avx2
-}
-
 // ---------------------------------------------------------------------------
-// Type-dispatch plumbing: the engine is generic over `Scalar`, the intrinsics
-// are not. `Scalar: 'static` lets us down-cast slices by `TypeId` with no
-// runtime cost beyond one comparison that the optimizer folds per
+// Type-dispatch plumbing: the engine is generic over `Scalar`, the AVX2
+// csrmm tile is not. `Scalar: 'static` lets us down-cast slices by `TypeId`
+// with no runtime cost beyond one comparison that the optimizer folds per
 // monomorphization.
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod cast {
     use std::any::TypeId;
 
@@ -122,21 +49,10 @@ mod cast {
             None
         }
     }
-
-    #[inline]
-    pub fn value<T: Copy + 'static, U: Copy + 'static>(v: T) -> Option<U> {
-        if TypeId::of::<T>() == TypeId::of::<U>() {
-            // SAFETY: T and U are the same type.
-            Some(unsafe { std::mem::transmute_copy::<T, U>(&v) })
-        } else {
-            None
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Public primitives. Each dispatches once per *call* (not per element), so
-// the branch is amortized over the whole row / tile.
+// SpGEMM drain and copy primitives.
 
 /// SoA gather: `out_cols[i] = idx[i]; out_vals[i] = table[idx[i]]`.
 ///
@@ -154,22 +70,6 @@ pub fn gather_into<T: Scalar>(
     assert_eq!(idx.len(), out_cols.len(), "gather_into: cols length");
     assert_eq!(idx.len(), out_vals.len(), "gather_into: vals length");
     out_cols.copy_from_slice(idx);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if level() == SimdLevel::Avx2 {
-        if let (Some(table), Some(out)) = (cast::slice::<T, f64>(table), cast::slice_mut(out_vals))
-        {
-            // SAFETY: AVX2 verified by `level()`; indices bounds-checked by
-            // the scalar contract (debug) and by construction (cols < ncols).
-            unsafe { avx2::gather_f64(idx, table, out) };
-            return;
-        }
-    }
-    gather_scalar(idx, table, out_vals);
-}
-
-/// Gather values only: `out_vals[i] = table[idx[i]]`.
-#[inline]
-fn gather_scalar<T: Scalar>(idx: &[ColIndex], table: &[T], out_vals: &mut [T]) {
     // Chunked by 4 for ILP; the tail runs per element. The loads are
     // data-dependent (a true gather) so scalar code can't fuse them, but
     // splitting the chains lets the core overlap the four cache misses.
@@ -207,16 +107,6 @@ pub fn gather_packed_into<T: Scalar>(
 ) {
     assert_eq!(packed.len(), out_cols.len(), "gather_packed_into: cols");
     assert_eq!(packed.len(), out_vals.len(), "gather_packed_into: vals");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if level() == SimdLevel::Avx2 {
-        if let (Some(table), Some(out)) = (cast::slice::<T, f64>(table), cast::slice_mut(out_vals))
-        {
-            // SAFETY: AVX2 verified by `level()`; slots are valid indices
-            // into `table` by the accumulator's invariant.
-            unsafe { avx2::gather_packed_f64(packed, table, out_cols, out) };
-            return;
-        }
-    }
     for i in 0..packed.len() {
         out_cols[i] = (packed[i] >> 32) as ColIndex;
         out_vals[i] = table[packed[i] as u32 as usize];
@@ -224,22 +114,10 @@ pub fn gather_packed_into<T: Scalar>(
 }
 
 /// Scaled copy: `dst[i] = scale * src[i]`. The single-source fast path —
-/// elementwise, so any lane width is bit-identical.
+/// elementwise, so any lane width the compiler picks is bit-identical.
 #[inline]
 pub fn scaled_copy<T: Scalar>(scale: T, src: &[T], dst: &mut [T]) {
     assert_eq!(src.len(), dst.len(), "scaled_copy: length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if level() == SimdLevel::Avx2 {
-        if let (Some(scale), Some(src), Some(dst)) = (
-            cast::value::<T, f64>(scale),
-            cast::slice(src),
-            cast::slice_mut(dst),
-        ) {
-            // SAFETY: AVX2 verified by `level()`.
-            unsafe { avx2::scaled_copy_f64(scale, src, dst) };
-            return;
-        }
-    }
     // `scale * s` (scale on the left) mirrors the engine's `aij * bjc`.
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = scale * s;
@@ -280,6 +158,7 @@ pub const CSRMM_TILE: usize = 8;
 /// so B traffic is sequential within a tile and C is written exactly once.
 /// Each output element still accumulates in ascending-`j` order starting
 /// from `T::ZERO` — **bit-identical** to [`crate::reference::csrmm`].
+/// `f64` rows run the AVX2 tile where the CPU has it.
 ///
 /// `out` must be `b.ncols()` long; its prior contents are overwritten.
 #[inline]
@@ -291,14 +170,14 @@ pub fn csrmm_row_into<T: Scalar>(
 ) {
     let ncols = b.ncols();
     assert_eq!(out.len(), ncols, "csrmm_row_into: output width");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if level() == SimdLevel::Avx2 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
         if let (Some(avals), Some(bdata), Some(out)) = (
             cast::slice::<T, f64>(avals),
             cast::slice(b.data()),
             cast::slice_mut(out),
         ) {
-            // SAFETY: AVX2 verified by `level()`; acols index valid B rows.
+            // SAFETY: AVX2 detected just above; acols index valid B rows.
             unsafe { avx2::csrmm_row_f64(acols, avals, bdata, ncols, out) };
             return;
         }
@@ -306,6 +185,8 @@ pub fn csrmm_row_into<T: Scalar>(
     csrmm_row_scalar(acols, avals, b.data(), ncols, out);
 }
 
+/// The portable tile behind [`csrmm_row_into`]: what non-`f64` scalars
+/// and hosts without AVX2 run. Same per-element `j`-order, same bits.
 fn csrmm_row_scalar<T: Scalar>(
     acols: &[ColIndex],
     avals: &[T],
@@ -388,98 +269,17 @@ pub fn csrmm_row_tree_into<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 variants (f64). Compiled only with the `simd` feature on x86_64;
-// every entry point is `#[target_feature(enable = "avx2")]` and reached
-// solely through `level() == Avx2`, which implies runtime support.
+// AVX2 csrmm tile (f64), compiled on x86_64 and reached only after
+// `is_x86_feature_detected!("avx2")` succeeded.
 //
-// No FMA anywhere: `_mm256_fmadd_pd` rounds once where `mul` + `add` round
-// twice, which would break bit-identity with the scalar oracle.
+// No FMA: `_mm256_fmadd_pd` rounds once where `mul` + `add` round twice,
+// which would break bit-identity with the reference.
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::*;
 
     use crate::ColIndex;
-
-    /// # Safety
-    /// AVX2 must be available; every `idx` entry must be `< table.len()`
-    /// and `< i32::MAX` (ColIndex is u32; matrices are far below 2^31).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_f64(idx: &[ColIndex], table: &[f64], out: &mut [f64]) {
-        debug_assert!(idx.iter().all(|&i| (i as usize) < table.len()));
-        let n = idx.len();
-        let whole = n & !3;
-        let mut i = 0;
-        while i < whole {
-            let vindex = _mm_loadu_si128(idx.as_ptr().add(i) as *const __m128i);
-            let g = _mm256_i32gather_pd::<8>(table.as_ptr(), vindex);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), g);
-            i += 4;
-        }
-        while i < n {
-            *out.get_unchecked_mut(i) = *table.get_unchecked(*idx.get_unchecked(i) as usize);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be available; the low 32 bits of every `packed` entry must
-    /// be a valid index into `table`. Output slices are `packed.len()` long
-    /// (checked by the dispatching wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_packed_f64(
-        packed: &[u64],
-        table: &[f64],
-        out_cols: &mut [ColIndex],
-        out_vals: &mut [f64],
-    ) {
-        debug_assert!(packed.iter().all(|&p| ((p as u32) as usize) < table.len()));
-        let n = packed.len();
-        let whole = n & !3;
-        let slot_mask = _mm256_set1_epi64x(0xFFFF_FFFF);
-        // Compress the four 64-bit lanes' high halves (the columns) into
-        // the low 128 bits: dword lanes 1,3,5,7 -> 0,1,2,3.
-        let col_shuffle = _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0);
-        let mut i = 0;
-        while i < whole {
-            let v = _mm256_loadu_si256(packed.as_ptr().add(i) as *const __m256i);
-            let slots = _mm256_and_si256(v, slot_mask);
-            let vals = _mm256_i64gather_pd::<8>(table.as_ptr(), slots);
-            _mm256_storeu_pd(out_vals.as_mut_ptr().add(i), vals);
-            let cols = _mm256_permutevar8x32_epi32(v, col_shuffle);
-            _mm_storeu_si128(
-                out_cols.as_mut_ptr().add(i) as *mut __m128i,
-                _mm256_castsi256_si128(cols),
-            );
-            i += 4;
-        }
-        while i < n {
-            let p = *packed.get_unchecked(i);
-            *out_cols.get_unchecked_mut(i) = (p >> 32) as ColIndex;
-            *out_vals.get_unchecked_mut(i) = *table.get_unchecked(p as u32 as usize);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be available; `src.len() == dst.len()` (checked by the
-    /// dispatching wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scaled_copy_f64(scale: f64, src: &[f64], dst: &mut [f64]) {
-        let s = _mm256_set1_pd(scale);
-        let n = src.len();
-        let whole = n & !3;
-        let mut i = 0;
-        while i < whole {
-            let v = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_mul_pd(s, v));
-            i += 4;
-        }
-        while i < n {
-            *dst.get_unchecked_mut(i) = scale * *src.get_unchecked(i);
-            i += 1;
-        }
-    }
 
     /// Register-tiled csrmm row: two `__m256d` accumulators live across the
     /// whole sparse row per 8-column tile. mul + add (not fmadd) keeps each
@@ -524,19 +324,6 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes tests that flip the forced level so each one times /
-    /// exercises the level it set (outputs are level-independent anyway).
-    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_level<R>(l: SimdLevel, f: impl FnOnce() -> R) -> R {
-        let _g = LEVEL_LOCK.lock().unwrap();
-        set_forced(Some(l));
-        let r = f();
-        set_forced(None);
-        r
-    }
 
     fn vals(n: usize, salt: u64) -> Vec<f64> {
         (0..n)
@@ -568,102 +355,20 @@ mod tests {
     }
 
     #[test]
-    fn gather_levels_bit_identical() {
-        let table = vals(257, 1);
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 33, 64] {
-            let idx: Vec<ColIndex> = (0..n).map(|i| ((i * 37 + 11) % 257) as ColIndex).collect();
-            let run = |l| {
-                with_level(l, || {
-                    let mut oc = vec![0 as ColIndex; n];
-                    let mut ov = vec![0.0f64; n];
-                    gather_into(&idx, &table, &mut oc, &mut ov);
-                    (oc, ov)
-                })
-            };
-            let (sc, sv) = run(SimdLevel::Scalar);
-            let (vc, vv) = run(SimdLevel::Avx2);
-            assert_eq!(sc, vc);
-            assert_eq!(
-                sv.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                vv.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            for (k, &i) in idx.iter().enumerate() {
-                assert_eq!(sv[k].to_bits(), table[i as usize].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn gather_packed_levels_bit_identical() {
-        let table = vals(300, 2);
-        for n in [0usize, 1, 3, 4, 5, 8, 13, 16, 29] {
-            let packed: Vec<u64> = (0..n)
-                .map(|i| {
-                    let col = (i * 101) as u64;
-                    let slot = ((i * 53 + 7) % 300) as u64;
-                    (col << 32) | slot
-                })
-                .collect();
-            let run = |l| {
-                with_level(l, || {
-                    let mut oc = vec![0 as ColIndex; n];
-                    let mut ov = vec![0.0f64; n];
-                    gather_packed_into(&packed, &table, &mut oc, &mut ov);
-                    (oc, ov)
-                })
-            };
-            let (sc, sv) = run(SimdLevel::Scalar);
-            let (vc, vv) = run(SimdLevel::Avx2);
-            assert_eq!(sc, vc);
-            assert_eq!(
-                sv.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                vv.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            for (k, &p) in packed.iter().enumerate() {
-                assert_eq!(sc[k], (p >> 32) as ColIndex);
-                assert_eq!(sv[k].to_bits(), table[p as u32 as usize].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn scaled_copy_levels_bit_identical() {
-        for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 32, 65] {
-            let src = vals(n, 3);
-            let scale = -1.75f64;
-            let run = |l| {
-                with_level(l, || {
-                    let mut dst = vec![0.0f64; n];
-                    scaled_copy(scale, &src, &mut dst);
-                    dst
-                })
-            };
-            let s = run(SimdLevel::Scalar);
-            let v = run(SimdLevel::Avx2);
-            assert_eq!(
-                s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
-            for (k, x) in s.iter().enumerate() {
-                assert_eq!(x.to_bits(), (scale * src[k]).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn scaled_copy_f32_falls_back_cleanly() {
-        let src: Vec<f32> = (0..13).map(|i| i as f32 * 0.5 - 3.0).collect();
-        let mut dst = vec![0.0f32; 13];
-        with_level(SimdLevel::Avx2, || scaled_copy(2.0f32, &src, &mut dst));
-        for (d, &s) in dst.iter().zip(&src) {
-            assert_eq!(d.to_bits(), (2.0f32 * s).to_bits());
-        }
-    }
-
-    #[test]
     fn csrmm_row_matches_reference_bitwise() {
         // Widths straddling the 8-column tile, rows with nnz 0..=9 to cover
-        // every remainder-lane count.
+        // every remainder-lane count. Both tiles are called directly, so the
+        // portable one stays checked on AVX2 hosts too.
+        type Tile = fn(&[ColIndex], &[f64], &[f64], usize, &mut [f64]);
+        let scalar: Tile = csrmm_row_scalar::<f64>;
+        #[allow(unused_mut)]
+        let mut tiles = vec![("scalar", scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 detected just above.
+            let avx: Tile = |ac, av, bd, n, out| unsafe { avx2::csrmm_row_f64(ac, av, bd, n, out) };
+            tiles.push(("avx2", avx));
+        }
         for ncols in [1usize, 4, 7, 8, 9, 15, 16, 19] {
             let b = DenseMatrix::from_row_major(10, ncols, vals(10 * ncols, 4));
             for nnz in 0..=9usize {
@@ -679,16 +384,13 @@ mod tests {
                         acc
                     })
                     .collect();
-                for l in [SimdLevel::Scalar, SimdLevel::Avx2] {
-                    let out = with_level(l, || {
-                        let mut out = vec![f64::NAN; ncols];
-                        csrmm_row_into(&acols, &avals, &b, &mut out);
-                        out
-                    });
+                for (name, tile) in &tiles {
+                    let mut out = vec![f64::NAN; ncols];
+                    tile(&acols, &avals, b.data(), ncols, &mut out);
                     assert_eq!(
                         out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "ncols={ncols} nnz={nnz} level={l:?}"
+                        "ncols={ncols} nnz={nnz} tile={name}"
                     );
                 }
             }
@@ -708,19 +410,5 @@ mod tests {
         for (t, e) in tree.iter().zip(&exact) {
             assert!(t.approx_eq(*e, 1e-12, 1e-9), "tree={t} exact={e}");
         }
-    }
-
-    #[test]
-    fn forced_level_roundtrip() {
-        let _g = LEVEL_LOCK.lock().unwrap();
-        set_forced(Some(SimdLevel::Scalar));
-        assert_eq!(level(), SimdLevel::Scalar);
-        set_forced(None);
-        let auto = level();
-        set_forced(Some(SimdLevel::Avx2));
-        // Forcing AVX2 never fabricates lanes the CPU lacks: the result is
-        // whatever the hardware actually supports, i.e. the auto level.
-        assert_eq!(level(), auto);
-        set_forced(None);
     }
 }

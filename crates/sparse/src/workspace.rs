@@ -105,8 +105,6 @@ pub struct EngineWorkspace<T> {
     pub list: ListAccumulator<T>,
     /// Open-addressing table for mid-size rows.
     pub hash: HashAccumulator<T>,
-    /// Symbolic scratch for tiny rows (sorted distinct-column list).
-    pub tiny_cols: Vec<ColIndex>,
     /// Batched-merge scratch: per-source column runs.
     pub cols: Vec<ColIndex>,
     /// Batched-merge scratch: per-source value runs.
@@ -123,7 +121,6 @@ impl<T: Scalar> EngineWorkspace<T> {
             spa: SparseAccumulator::new(ncols),
             list: ListAccumulator::new(),
             hash: HashAccumulator::with_capacity(4),
-            tiny_cols: Vec::new(),
             cols: Vec::new(),
             vals: Vec::new(),
             bounds: Vec::new(),

@@ -22,14 +22,12 @@
 //!   vs the adaptive row-binned accumulator engine, on every Table I
 //!   clone, failing on any bit of output or profile drift, and emits
 //!   per-bin row/entry/throughput tallies (`spa_bin_*`);
-//! * gates the fused single-pass tier bit-for-bit against the two-pass
-//!   oracle on every Table I clone, then times the warm artifact-reuse
-//!   path off vs on at the larger scale-8 clones, CPU-time over
-//!   interleaved reps (`fused_perf`);
-//! * times the host numeric engine with SIMD dispatch forced to the scalar
-//!   oracle vs auto-detected (`simd_perf`), and the register-tiled csrmm
-//!   sweep vs the naive reference (`csrmm_perf`), failing hard on any bit
-//!   drift between levels;
+//! * gates the default (fused, adaptive) engine bit-for-bit against the
+//!   fixed dense-SPA reference on every Table I clone, then times the warm
+//!   artifact-reuse path reference vs default at the larger scale-8
+//!   clones, CPU-time over interleaved reps (`fused_perf`);
+//! * times the register-tiled csrmm sweep vs the naive reference
+//!   (`csrmm_perf`), failing hard on any bit drift;
 //! * replays the serve-layer request trace cold vs warm through
 //!   `SpmmService`, failing on any warm-vs-cold bit drift;
 //! * writes every wall-clock number to `BENCH_pr.json` (override the path
@@ -49,7 +47,7 @@ use hetero_spmm::hetsim::{CpuDevice, GpuDevice};
 use hetero_spmm::parallel::ThreadPool;
 use hetero_spmm::prelude::*;
 use hetero_spmm::serve::{replay, MultiplyRequest, ReplayOptions, ServiceConfig, SpmmService};
-use hetero_spmm::sparse::binning::{fused, stats as bin_stats};
+use hetero_spmm::sparse::binning::stats as bin_stats;
 
 fn run(name: &str, a: &CsrMatrix<f64>, cpu: &mut CpuDevice, gpu: &mut GpuDevice) {
     cpu.reset();
@@ -112,14 +110,13 @@ fn main() {
     let exec = exec_perf();
     let spa = spa_perf();
     let fused = fused_perf();
-    let simd = simd_perf();
     let csrmm = csrmm_perf();
     let shard = shard_perf();
     let serve = serve_perf();
 
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_pr.json".into());
     let json = format!(
-        "{{\n{engine},\n{phase1},\n{exec},\n{spa},\n{fused},\n{simd},\n{csrmm},\n{shard},\n{serve}\n}}\n"
+        "{{\n{engine},\n{phase1},\n{exec},\n{spa},\n{fused},\n{csrmm},\n{shard},\n{serve}\n}}\n"
     );
     std::fs::write(&path, json).expect("write smoke-perf artifact");
     println!("wrote {path}");
@@ -525,46 +522,51 @@ fn cpu_ticks() -> Option<u64> {
     Some(f.get(11)?.parse::<u64>().ok()? + f.get(12)?.parse::<u64>().ok()?)
 }
 
-/// Gate, then time, the fused single-pass tier against the retained
-/// two-pass oracle on every Table I clone.
+/// Gate, then time, the default engine (the fused single-pass tier)
+/// against the fixed dense-SPA reference (`AccumStrategy::FixedSpa`,
+/// exact symbolic pass then one dense SPA per row) on every Table I clone.
 ///
 /// The hard gate runs cold `hh_cpu` at the scale-32 clones with 8 host
-/// threads and fails if the fused product, its simulated profile, the
+/// threads and fails if the default product, its simulated profile, the
 /// thresholds, or the merge count deviate by a single bit before
 /// anything is timed. The timed portion measures what the engine change
 /// actually targets — the numeric work — on the warm serve path
 /// (`SpmmArtifacts` built once and reused, the registry's steady state)
-/// at the 4× larger scale-8 clones with one host thread, the same
-/// single-core rationale as `simd_perf`. Process CPU time accumulated
-/// over interleaved off/on reps is the primary metric: unlike per-side
-/// wall minima it is immune to the preemption a shared CI core suffers
-/// and does not let each side cherry-pick its luckiest moment. Wall
-/// minima remain in the JSON as the ms fields and the fallback where
-/// procfs is absent. Returns the JSON fragment (flat per-matrix
-/// `fused_speedup_<name>` keys so floors can pin each clone).
+/// at the 4× larger scale-8 clones with one host thread, because
+/// thread-scope spawns on a shared CI core add noise above the effect.
+/// Process CPU time accumulated over interleaved reference/default reps
+/// is the primary metric: unlike per-side wall minima it is immune to the
+/// preemption a shared CI core suffers and does not let each side
+/// cherry-pick its luckiest moment. Wall minima remain in the JSON as the
+/// ms fields (`fused_off_ms` is the reference, `fused_on_ms` the default)
+/// and the fallback where procfs is absent. Returns the JSON fragment
+/// (flat per-matrix `fused_speedup_<name>` keys so floors can pin each
+/// clone).
 fn fused_perf() -> String {
     let gate_threads = 8;
     let reps = 5;
-    let config = HhCpuConfig::default();
+    let fused = HhCpuConfig::default();
+    let fixed = HhCpuConfig {
+        accum: AccumStrategy::FixedSpa,
+        ..HhCpuConfig::default()
+    };
 
-    println!("\nfused-perf: two-pass oracle vs fused single-pass tier (gate: scale 32, {gate_threads} threads; timed: warm artifacts, scale 8, 1 thread, {reps} interleaved reps):");
+    println!("\nfused-perf: fixed-SPA reference vs fused single-pass tier (gate: scale 32, {gate_threads} threads; timed: warm artifacts, scale 8, 1 thread, {reps} interleaved reps):");
     let mut rows = Vec::new();
     let mut flat = Vec::new();
-    let (mut twopass_total, mut fused_total) = (0.0f64, 0.0f64);
+    let (mut fixed_total, mut fused_total) = (0.0f64, 0.0f64);
     for d in Dataset::all() {
         let name = d.entry().name;
 
-        // the hard gate: the fused tier must reproduce the two-pass run
+        // the hard gate: the fused tier must reproduce the reference run
         // exactly — output, simulated profile, thresholds, merge count —
         // before either variant is timed
         {
             let a = d.load::<f64>(32);
             let mut ctx =
                 HeteroContext::scaled(d.effective_scale(32)).with_host_threads(gate_threads);
-            fused::set_forced(Some(false));
-            let want = hh_cpu(&mut ctx, &a, &a, &config);
-            fused::set_forced(Some(true));
-            let got = hh_cpu(&mut ctx, &a, &a, &config);
+            let want = hh_cpu(&mut ctx, &a, &a, &fixed);
+            let got = hh_cpu(&mut ctx, &a, &a, &fused);
             assert_eq!(got.c, want.c, "{name}: fused tier changed C");
             assert_eq!(
                 got.profile, want.profile,
@@ -583,12 +585,10 @@ fn fused_perf() -> String {
 
         let a = d.load::<f64>(8);
         let mut ctx = HeteroContext::scaled(d.effective_scale(8)).with_host_threads(1);
-        let artifacts = SpmmArtifacts::build(&ctx, &a, &a, config.policy);
+        let artifacts = SpmmArtifacts::build(&ctx, &a, &a, fused.policy);
         // warm both sides once untimed, and gate the timed path too
-        fused::set_forced(Some(false));
-        let want = hh_cpu_with_artifacts(&mut ctx, &a, &a, &config, &artifacts);
-        fused::set_forced(Some(true));
-        let got = hh_cpu_with_artifacts(&mut ctx, &a, &a, &config, &artifacts);
+        let want = hh_cpu_with_artifacts(&mut ctx, &a, &a, &fixed, &artifacts);
+        let got = hh_cpu_with_artifacts(&mut ctx, &a, &a, &fused, &artifacts);
         assert_eq!(
             got.c, want.c,
             "{name}: fused tier changed warm C at scale 8"
@@ -597,11 +597,10 @@ fn fused_perf() -> String {
         let mut wall = [f64::INFINITY; 2];
         let mut cpu = [0u64; 2];
         for _ in 0..reps {
-            for (side, on) in [(0usize, false), (1, true)] {
-                fused::set_forced(Some(on));
+            for (side, config) in [(0usize, &fixed), (1, &fused)] {
                 let c0 = cpu_ticks();
                 let t0 = Instant::now();
-                std::hint::black_box(hh_cpu_with_artifacts(&mut ctx, &a, &a, &config, &artifacts));
+                std::hint::black_box(hh_cpu_with_artifacts(&mut ctx, &a, &a, config, &artifacts));
                 wall[side] = wall[side].min(t0.elapsed().as_secs_f64() * 1e3);
                 if let (Some(c0), Some(c1)) = (c0, cpu_ticks()) {
                     cpu[side] += c1 - c0;
@@ -615,10 +614,10 @@ fn fused_perf() -> String {
             wall[0] / wall[1]
         };
         println!(
-            "  {name:<14} two-pass {:>8.2} ms | fused {:>8.2} ms | cpu {:>4}:{:<4} ticks | {speedup:.2}x",
+            "  {name:<14} fixed {:>8.2} ms | fused {:>8.2} ms | cpu {:>4}:{:<4} ticks | {speedup:.2}x",
             wall[0], wall[1], cpu[0], cpu[1]
         );
-        twopass_total += wall[0];
+        fixed_total += wall[0];
         fused_total += wall[1];
         rows.push(format!(
             "    {{\"name\": \"{name}\", \"fused_off_ms\": {:.4}, \
@@ -627,104 +626,18 @@ fn fused_perf() -> String {
         ));
         flat.push(format!("  \"fused_speedup_{}\": {speedup:.4}", slug(name)));
     }
-    fused::set_forced(None);
     println!(
-        "  fused total: two-pass {twopass_total:.2} ms | fused {fused_total:.2} ms | {:.2}x",
-        twopass_total / fused_total
+        "  fused total: fixed {fixed_total:.2} ms | fused {fused_total:.2} ms | {:.2}x",
+        fixed_total / fused_total
     );
 
     format!(
         "  \"fused_gate_threads\": {gate_threads},\n  \
-         \"fused_off_ms\": {twopass_total:.4},\n  \
+         \"fused_off_ms\": {fixed_total:.4},\n  \
          \"fused_on_ms\": {fused_total:.4},\n  \
          \"fused_speedup\": {:.4},\n  \
          \"fused_matrices\": [\n{}\n  ],\n{}",
-        twopass_total / fused_total,
-        rows.join(",\n"),
-        flat.join(",\n"),
-    )
-}
-
-/// Time the host numeric engine — symbolic + binned numeric + concat, the
-/// loops PR 7 vectorized — with SIMD dispatch forced to the scalar oracle
-/// vs the auto-detected level, on every Table I clone. Hard-fails if the
-/// two levels differ by a single output bit. Returns the JSON fragment
-/// (flat per-matrix `simd_speedup_<name>` keys so floors can pin each
-/// clone) for the CI artifact.
-fn simd_perf() -> String {
-    let reps = 3;
-    // one host thread on purpose: the probe measures the kernels' scalar
-    // vs vector dispatch, and thread-scope spawns on a shared CI core add
-    // noise an order of magnitude above the effect being measured
-    let pool = ThreadPool::new(1);
-
-    simd::set_forced(None);
-    let auto = simd::level();
-    println!(
-        "\nsimd-perf: numeric engine, scalar oracle vs dispatched ({auto:?}) on every clone (best of {reps}):"
-    );
-    let mut rows = Vec::new();
-    let mut flat = Vec::new();
-    let (mut scalar_total, mut vector_total) = (0.0f64, 0.0f64);
-    for d in Dataset::all() {
-        let name = d.entry().name;
-        let a = d.load::<f64>(32);
-        let all_rows: Vec<usize> = (0..a.nrows()).collect();
-        let shape = (a.nrows(), a.ncols());
-
-        // the hard gate: forced-scalar and dispatched runs must agree on
-        // every bit of the product before either is timed
-        simd::set_forced(Some(SimdLevel::Scalar));
-        let want = {
-            let block = row_products(&a, &a, &all_rows, None, &pool);
-            concat_row_blocks(&[block], shape, &pool)
-        };
-        simd::set_forced(None);
-        let got = {
-            let block = row_products(&a, &a, &all_rows, None, &pool);
-            concat_row_blocks(&[block], shape, &pool)
-        };
-        assert_eq!(got, want, "{name}: SIMD dispatch changed the product");
-
-        let (mut scalar_ms, mut vector_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            simd::set_forced(Some(SimdLevel::Scalar));
-            let t0 = Instant::now();
-            let block = row_products(&a, &a, &all_rows, None, &pool);
-            std::hint::black_box(concat_row_blocks(&[block], shape, &pool));
-            scalar_ms = scalar_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-
-            simd::set_forced(None);
-            let t0 = Instant::now();
-            let block = row_products(&a, &a, &all_rows, None, &pool);
-            std::hint::black_box(concat_row_blocks(&[block], shape, &pool));
-            vector_ms = vector_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        let speedup = scalar_ms / vector_ms;
-        println!(
-            "  {name:<14} scalar {scalar_ms:>8.2} ms | simd {vector_ms:>8.2} ms | {speedup:.2}x"
-        );
-        scalar_total += scalar_ms;
-        vector_total += vector_ms;
-        rows.push(format!(
-            "    {{\"name\": \"{name}\", \"simd_scalar_ms\": {scalar_ms:.4}, \
-             \"simd_vector_ms\": {vector_ms:.4}, \"simd_speedup\": {speedup:.4}}}",
-        ));
-        flat.push(format!("  \"simd_speedup_{}\": {speedup:.4}", slug(name)));
-    }
-    simd::set_forced(None);
-    println!(
-        "  simd total: scalar {scalar_total:.2} ms | simd {vector_total:.2} ms | {:.2}x",
-        scalar_total / vector_total
-    );
-
-    format!(
-        "  \"simd_level\": \"{auto:?}\",\n  \
-         \"simd_scalar_ms\": {scalar_total:.4},\n  \
-         \"simd_vector_ms\": {vector_total:.4},\n  \
-         \"simd_speedup\": {:.4},\n  \
-         \"simd_matrices\": [\n{}\n  ],\n{}",
-        scalar_total / vector_total,
+        fixed_total / fused_total,
         rows.join(",\n"),
         flat.join(",\n"),
     )

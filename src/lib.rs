@@ -72,6 +72,5 @@ pub mod prelude {
     };
     pub use spmm_sparse::{
         reference, simd, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, RowHistogram, Scalar,
-        SimdLevel,
     };
 }

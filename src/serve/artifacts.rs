@@ -21,13 +21,13 @@
 //! total instead of remembering the size at insert: `stats().bytes` is
 //! always exact, and the cap is enforced on the next insert.
 //!
-//! The key deliberately does *not* include the fused-tier pin
-//! (`SPMM_FUSED` / `binning::fused`): artifacts are pre-numeric (they
-//! record thresholds, masks, and width tables, never engine scratch),
-//! and the fused single-pass tier is bit-identical to the two-pass
-//! oracle by contract — so artifacts built while the pin was off serve
-//! fused requests unchanged, and vice versa. `serve_equivalence`'s
-//! fused-flip test pins that reuse.
+//! The key deliberately does *not* include the numeric engine
+//! configuration (`ExecConfig`): artifacts are pre-numeric (they record
+//! thresholds, masks, width tables and the claim plan, never engine
+//! scratch), and every executor and accumulator strategy is bit-identical
+//! to the per-claim fixed dense-SPA reference by contract — so the same
+//! artifacts drive any of them (`device_shootout`'s `fused_perf` times
+//! the reference and the default engine on one set).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

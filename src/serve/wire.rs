@@ -613,6 +613,44 @@ mod tests {
     }
 
     #[test]
+    fn load_path_on_a_crafted_mtx_is_a_bad_request_and_the_session_continues() {
+        let service = service();
+        let path =
+            std::env::temp_dir().join(format!("spmm-wire-crafted-{}.mtx", std::process::id()));
+        std::fs::write(
+            &path,
+            "%%MatrixMarket matrix coordinate real general\n18446744073709551615 1 0\n",
+        )
+        .unwrap();
+        let load = format!(
+            r#"{{"op":"load_path","path":{:?}}}"#,
+            path.to_str().unwrap()
+        );
+        let mut input = Vec::new();
+        for payload in [load.as_bytes(), br#"{"op":"ping"}"#] {
+            input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            input.extend_from_slice(payload);
+        }
+        let mut output = Vec::new();
+        let shut = serve_stream(&service, &mut Cursor::new(input), &mut output).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(!shut);
+        let mut cursor = Cursor::new(output);
+        let mut replies = Vec::new();
+        while let Some(reply) = read_frame(&mut cursor).unwrap() {
+            replies.push(reply);
+        }
+        assert_eq!(replies.len(), 2);
+        assert_eq!(
+            replies[0].str_field("code"),
+            Some("bad_request"),
+            "{:?}",
+            replies[0]
+        );
+        assert_eq!(replies[1].str_field("op"), Some("ping"));
+    }
+
+    #[test]
     fn profile_fingerprint_separates_close_profiles() {
         use spmm_core::PhaseBreakdown;
         let a = PhaseBreakdown::default();

@@ -1,16 +1,21 @@
-//! The adaptive row-binned accumulator engine is a perf knob only.
+//! The adaptive engine is a perf knob only.
 //!
-//! The executor now picks a per-row accumulator (verbatim copy / sorted
-//! list / open-addressing hash / dense SPA) from each output row's exact
-//! symbolic nnz and masked source count. Every variant scatters in the
-//! same A-row visit order (first touch sets, later touches `+=`) and
-//! drains ascending by column, so the floating-point bits of the result
-//! must be *identical* to the fixed dense-SPA engine — not approximately
-//! equal, identical. These tests pin that contract across all four
-//! algorithm paths, several host thread counts, and both the `A = B`
-//! self-product and the `A ≠ B` case: identical output matrix, identical
-//! simulated `PhaseBreakdown`, identical thresholds, identical
-//! `tuples_merged`.
+//! The default engine routes rows by their structural upper bound: rows
+//! whose bound fits the staging budget skip the symbolic pass and scatter
+//! once through the accumulator the bound selects (verbatim copy / sorted
+//! list / open-addressing hash / dense SPA), drain into pooled staging and
+//! are stitched into place by a compaction pass; heavier rows are sized
+//! exactly first. Every variant scatters in the same A-row visit order
+//! (first touch sets, later touches `+=`) and drains ascending by column,
+//! and the indptr scan runs over exact integer sizes, so the
+//! floating-point bits of the result must be *identical* to the fixed
+//! dense-SPA reference — not approximately equal, identical. These tests
+//! pin that contract across all four algorithm paths, both executors,
+//! several host thread counts, and both the `A = B` self-product and the
+//! `A ≠ B` case: identical output matrix, identical simulated
+//! `PhaseBreakdown`, identical thresholds, identical `tuples_merged`.
+//! `tests/fused_engine.rs` holds the same check on other inputs, all 12
+//! Table I clones and the sharded driver.
 
 use hetero_spmm::prelude::*;
 

@@ -7,38 +7,19 @@
 //! Every row is still produced by the same scatter order (first touch sets,
 //! later touches `+=`) and the same ascending drain, staged runs are copied
 //! verbatim, and the indptr scan runs over exact integer sizes — so the
-//! floating-point bits of the result must be *identical* to the retained
-//! two-pass oracle. Not approximately equal: identical. These tests pin that
-//! contract across all four algorithm paths, both executors, several host
-//! thread counts, `A = B` and `A ≠ B`, all 12 Table I clones, and the
-//! sharded driver, by flipping the `SPMM_FUSED` pin between paired runs.
-//!
-//! The pin (`binning::fused::set_forced`) is process-global, so every test
-//! in this binary serialises on one mutex and restores the pin on exit —
-//! including on panic — via a guard.
+//! floating-point bits of the result must be *identical* to the fixed
+//! dense-SPA reference (`AccumStrategy::FixedSpa`). Not approximately equal:
+//! identical. The fused tier is what `AccumStrategy::Adaptive` runs, so
+//! these tests pin that contract across all four algorithm paths, both
+//! executors, several host thread counts, `A = B` and `A ≠ B`, all 12
+//! Table I clones, and the sharded driver, by pairing each Adaptive run
+//! with a `FixedSpa` run of the same product. `tests/adaptive_engine.rs`
+//! holds the same check on other inputs.
 
 use hetero_spmm::prelude::*;
-use hetero_spmm::sparse::binning::fused;
-use std::sync::{Mutex, MutexGuard};
 
 fn matrix(n: usize, nnz: usize, seed: u64) -> CsrMatrix<f64> {
     scale_free_matrix(&GeneratorConfig::square_power_law(n, nnz, 2.2, seed))
-}
-
-/// Serialises tests touching the process-global fused pin and restores the
-/// pin to "follow the environment" when dropped, even if the test panics.
-static PIN: Mutex<()> = Mutex::new(());
-
-struct PinGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        fused::set_forced(None);
-    }
-}
-
-fn pin() -> PinGuard {
-    PinGuard(PIN.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
 /// Assert two runs of the same algorithm agree on everything an
@@ -57,14 +38,12 @@ fn assert_identical(got: &SpmmOutput<f64>, want: &SpmmOutput<f64>, what: &str) {
     );
 }
 
-/// Run `run` once with the fused tier forced off (the two-pass oracle) and
-/// once forced on, and require bit-identical outputs.
-fn fused_vs_oracle(mut run: impl FnMut() -> SpmmOutput<f64>, what: &str) {
-    fused::set_forced(Some(false));
-    let oracle = run();
-    fused::set_forced(Some(true));
-    let fused_out = run();
-    assert_identical(&fused_out, &oracle, what);
+/// Run `run` once with the `FixedSpa` reference and once with the fused
+/// (Adaptive) engine, and require bit-identical outputs.
+fn fused_vs_reference(mut run: impl FnMut(AccumStrategy) -> SpmmOutput<f64>, what: &str) {
+    let reference = run(AccumStrategy::FixedSpa);
+    let fused_out = run(AccumStrategy::Adaptive);
+    assert_identical(&fused_out, &reference, what);
 }
 
 fn check_all_paths(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, label: &str, threads: &[usize]) {
@@ -73,30 +52,29 @@ fn check_all_paths(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, label: &str, threads:
         let what = format!("{label}, {threads} host threads");
         let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
         for policy in [ExecPolicy::PerClaim, ExecPolicy::Batched] {
-            let cfg = ExecConfig {
-                policy,
-                accum: AccumStrategy::Adaptive,
-            };
-            let hh_cfg = HhCpuConfig {
-                exec: policy,
-                accum: AccumStrategy::Adaptive,
-                ..HhCpuConfig::default()
-            };
+            let cfg = |accum| ExecConfig { policy, accum };
 
-            fused_vs_oracle(
-                || hh_cpu(&mut ctx, a, b, &hh_cfg),
+            fused_vs_reference(
+                |accum| {
+                    let hh_cfg = HhCpuConfig {
+                        exec: policy,
+                        accum,
+                        ..HhCpuConfig::default()
+                    };
+                    hh_cpu(&mut ctx, a, b, &hh_cfg)
+                },
                 &format!("hh_cpu ({what}, {policy:?})"),
             );
-            fused_vs_oracle(
-                || hipc2012_with(&mut ctx, a, b, cfg),
+            fused_vs_reference(
+                |accum| hipc2012_with(&mut ctx, a, b, cfg(accum)),
                 &format!("hipc2012 ({what}, {policy:?})"),
             );
-            fused_vs_oracle(
-                || unsorted_workqueue_with(&mut ctx, a, b, units, cfg),
+            fused_vs_reference(
+                |accum| unsorted_workqueue_with(&mut ctx, a, b, units, cfg(accum)),
                 &format!("unsorted_workqueue ({what}, {policy:?})"),
             );
-            fused_vs_oracle(
-                || sorted_workqueue_with(&mut ctx, a, b, units, cfg),
+            fused_vs_reference(
+                |accum| sorted_workqueue_with(&mut ctx, a, b, units, cfg(accum)),
                 &format!("sorted_workqueue ({what}, {policy:?})"),
             );
         }
@@ -105,7 +83,6 @@ fn check_all_paths(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, label: &str, threads:
 
 #[test]
 fn fused_engine_is_bit_equal_on_self_product() {
-    let _pin = pin();
     let a = matrix(3_000, 21_000, 61);
     check_all_paths(&a, &a, "A = A", &[1, 2, 8]);
 }
@@ -116,7 +93,6 @@ fn fused_engine_is_bit_equal_on_distinct_inputs() {
     // threshold pair and the A_H × B_L / A_L × B_H cross products: copy
     // rows from single-source masks, bounded list/hash/dense rows, and
     // heavy hub rows that must keep the exact symbolic pass
-    let _pin = pin();
     let a = matrix(2_000, 10_000, 62);
     let b = matrix(2_000, 28_000, 63);
     check_all_paths(&a, &b, "A != B", &[1, 2, 8]);
@@ -129,7 +105,6 @@ fn fused_engine_is_bit_equal_on_all_table1_clones() {
     // so each published row-size distribution routes rows through the fused
     // tier at least once; debug-build runtime keeps the clones at a deeper
     // shrink than the release benches (bit-identity is scale-independent)
-    let _pin = pin();
     for d in Dataset::all() {
         let a = d.load::<f64>(256);
         check_all_paths(&a, &a, d.entry().name, &[1, 2, 8]);
@@ -143,22 +118,23 @@ fn fused_engine_is_bit_equal_under_sharding() {
     // the sharded driver re-enters the same engines per row band; an
     // explicit 4-band pooled plan forces real multi-shard stitching even
     // at test sizes
-    let _pin = pin();
     let a = matrix(4_000, 28_000, 65);
+    let reference_cfg = HhCpuConfig {
+        accum: AccumStrategy::FixedSpa,
+        ..HhCpuConfig::default()
+    };
     for threads in [1usize, 4] {
         let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
         let shard = ShardConfig::pooled(4);
-        fused::set_forced(Some(false));
-        let oracle = hh_cpu_sharded(&mut ctx, &a, &a, &HhCpuConfig::default(), &shard);
-        fused::set_forced(Some(true));
+        let reference = hh_cpu_sharded(&mut ctx, &a, &a, &reference_cfg, &shard);
         let fused_out = hh_cpu_sharded(&mut ctx, &a, &a, &HhCpuConfig::default(), &shard);
         assert_eq!(
-            fused_out.output.c, oracle.output.c,
+            fused_out.output.c, reference.output.c,
             "sharded fused output diverged ({threads} threads)"
         );
         assert_eq!(
             fused_out.plan.shards(),
-            oracle.plan.shards(),
+            reference.plan.shards(),
             "shard plan diverged ({threads} threads)"
         );
     }

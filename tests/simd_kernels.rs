@@ -1,106 +1,31 @@
-//! The SIMD numeric kernels are a perf knob only.
+//! The drain, copy and csrmm kernels must reproduce the serial reference.
 //!
-//! PR 7 rebuilt the numeric hot loops — SoA accumulator drains, the scaled
-//! verbatim copy, branchless list inserts, packed hash drains, the two-run
-//! merge, and the register-tiled csrmm sweep — with runtime-dispatched AVX2
-//! variants behind a chunked scalar oracle. None of the dispatched shapes
-//! reorders a floating-point reduction, so the contract is the same as the
-//! adaptive engine's: the product of a forced-scalar run and a forced-AVX2
-//! run must be bit-for-bit *identical*, across all four algorithm paths,
-//! both executors, several host thread counts, `A = B` and `A ≠ B`,
-//! remainder-lane row sizes (`nnz ≡ 1..7 mod 8`), and empty rows. The one
+//! The numeric hot loops — SoA accumulator drains, the scaled verbatim
+//! copy, branchless list inserts, packed hash drains, the two-run merge,
+//! and the register-tiled csrmm sweep (AVX2 on hosts that have it, a
+//! portable tile elsewhere) — reorder no floating-point reduction. So the
+//! production engine's product is pinned bit for bit to
+//! `reference::spmm_rowrow` on inputs built to hit every remainder-lane
+//! row size (`nnz ≡ 0..7 mod 8`) and empty rows, across all four
+//! algorithm paths, both executors and several host thread counts; the
+//! tiled csrmm is pinned bit for bit to `reference::csrmm`. The one
 //! FP-reordering variant — the tree-reduced csrmm tile — is opt-in and is
 //! pinned here to a tolerance, never to bits.
-//!
-//! On hosts without AVX2 (or with `SPMM_SIMD=scalar` exported, as in CI's
-//! scalar-fallback leg) forcing `Avx2` resolves to the scalar path and the
-//! comparisons become scalar-vs-scalar: trivially green, still exercising
-//! the dispatch plumbing.
-
-use std::sync::Mutex;
 
 use hetero_spmm::prelude::*;
-
-/// Forced-level comparisons serialize here so parallel tests cannot flip
-/// the process-wide dispatch level mid-measurement. (A concurrent flip
-/// would still be *correct* — every dispatched primitive is bit-identical
-/// across levels — but each comparison should test what it claims to.)
-static LEVEL_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` twice — forced scalar, then forced AVX2 — and return both
-/// results, restoring auto-detection after.
-fn at_both_levels<R>(mut f: impl FnMut() -> R) -> (R, R) {
-    let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    simd::set_forced(Some(SimdLevel::Scalar));
-    let scalar = f();
-    simd::set_forced(Some(SimdLevel::Avx2));
-    let vector = f();
-    simd::set_forced(None);
-    (scalar, vector)
-}
-
-fn assert_identical(got: &SpmmOutput<f64>, want: &SpmmOutput<f64>, what: &str) {
-    assert_eq!(got.c, want.c, "{what}: output matrix diverged");
-    assert_eq!(got.profile, want.profile, "{what}: PhaseBreakdown diverged");
-    assert_eq!(
-        (got.threshold_a, got.threshold_b),
-        (want.threshold_a, want.threshold_b),
-        "{what}: thresholds diverged"
-    );
-    assert_eq!(
-        got.tuples_merged, want.tuples_merged,
-        "{what}: tuples_merged diverged"
-    );
-}
 
 fn matrix(n: usize, nnz: usize, seed: u64) -> CsrMatrix<f64> {
     scale_free_matrix(&GeneratorConfig::square_power_law(n, nnz, 2.2, seed))
 }
 
-fn check_all_paths(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, label: &str) {
-    let units = WorkUnitConfig::auto(a.nrows());
-    for threads in [1usize, 2, 8] {
-        let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
-        for policy in [ExecPolicy::PerClaim, ExecPolicy::Batched] {
-            let what = format!("{label}, {threads} threads, {policy:?}");
-            let exec = ExecConfig {
-                policy,
-                accum: AccumStrategy::Adaptive,
-            };
-            let hh_cfg = HhCpuConfig {
-                exec: policy,
-                accum: AccumStrategy::Adaptive,
-                ..HhCpuConfig::default()
-            };
-
-            let (s, v) = at_both_levels(|| hh_cpu(&mut ctx, a, b, &hh_cfg));
-            assert_identical(&v, &s, &format!("hh_cpu ({what})"));
-
-            let (s, v) = at_both_levels(|| hipc2012_with(&mut ctx, a, b, exec));
-            assert_identical(&v, &s, &format!("hipc2012 ({what})"));
-
-            let (s, v) = at_both_levels(|| unsorted_workqueue_with(&mut ctx, a, b, units, exec));
-            assert_identical(&v, &s, &format!("unsorted_workqueue ({what})"));
-
-            let (s, v) = at_both_levels(|| sorted_workqueue_with(&mut ctx, a, b, units, exec));
-            assert_identical(&v, &s, &format!("sorted_workqueue ({what})"));
-        }
-    }
-}
-
-#[test]
-fn simd_paths_are_bit_equal_on_self_product() {
-    let a = matrix(2_000, 14_000, 71);
-    check_all_paths(&a, &a, "A = A");
-}
-
-#[test]
-fn simd_paths_are_bit_equal_on_distinct_inputs() {
-    // different row-size profiles exercise the dual thresholds and land
-    // rows in every accumulator bin on both mask halves
-    let a = matrix(1_500, 7_500, 72);
-    let b = matrix(1_500, 21_000, 73);
-    check_all_paths(&a, &b, "A != B");
+/// Bitwise equality of two CSR matrices: same structure, and every value
+/// the same `f64` bit pattern (so `-0.0` and `0.0` differ).
+fn assert_bits(got: &CsrMatrix<f64>, want: &CsrMatrix<f64>, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    assert_eq!(got.indptr(), want.indptr(), "{what}: row offsets");
+    assert_eq!(got.indices(), want.indices(), "{what}: columns");
+    let bits = |m: &CsrMatrix<f64>| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want), "{what}: value bits");
 }
 
 /// A matrix pair built so output rows cover every drain remainder class:
@@ -136,13 +61,12 @@ fn remainder_lane_inputs() -> (CsrMatrix<f64>, CsrMatrix<f64>) {
 #[test]
 fn remainder_lanes_and_empty_rows_are_bit_equal() {
     let (a, b) = remainder_lane_inputs();
+    let expected = reference::spmm_rowrow(&a, &b).unwrap();
     // sanity: the construction really covers every residue class mod 8
-    let mut ctx = HeteroContext::scaled(32).with_host_threads(2);
-    let probe = hh_cpu(&mut ctx, &a, &b, &HhCpuConfig::default());
     let mut residues = [false; 8];
     let mut empties = 0;
-    for i in 0..probe.c.nrows() {
-        let nnz = probe.c.row_nnz(i);
+    for i in 0..expected.nrows() {
+        let nnz = expected.row_nnz(i);
         residues[nnz % 8] = true;
         empties += usize::from(nnz == 0);
     }
@@ -150,32 +74,47 @@ fn remainder_lanes_and_empty_rows_are_bit_equal() {
         residues.iter().all(|&r| r) && empties > 0,
         "construction must cover nnz ≡ 0..7 (mod 8) and empty rows: {residues:?}, {empties}"
     );
-    check_all_paths(&a, &b, "remainder lanes");
+    let units = WorkUnitConfig::auto(a.nrows());
+    for threads in [1usize, 2, 8] {
+        let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
+        for policy in [ExecPolicy::PerClaim, ExecPolicy::Batched] {
+            let what = format!("{threads} threads, {policy:?}");
+            let exec = ExecConfig::from(policy);
+            let hh_cfg = HhCpuConfig {
+                exec: policy,
+                ..HhCpuConfig::default()
+            };
+            let hh = hh_cpu(&mut ctx, &a, &b, &hh_cfg);
+            assert_bits(&hh.c, &expected, &format!("hh_cpu ({what})"));
+            let hipc = hipc2012_with(&mut ctx, &a, &b, exec);
+            assert_bits(&hipc.c, &expected, &format!("hipc2012 ({what})"));
+            let uns = unsorted_workqueue_with(&mut ctx, &a, &b, units, exec);
+            assert_bits(&uns.c, &expected, &format!("unsorted_workqueue ({what})"));
+            let srt = sorted_workqueue_with(&mut ctx, &a, &b, units, exec);
+            assert_bits(&srt.c, &expected, &format!("sorted_workqueue ({what})"));
+        }
+    }
 }
 
 #[test]
-fn tiled_csrmm_is_bit_equal_across_levels_and_to_reference() {
+fn tiled_csrmm_is_bit_equal_to_reference() {
     // widths straddle the 8-wide tile: full tiles, ragged tails, sub-tile
+    let a = matrix(600, 4_200, 74);
     for k in [5usize, 8, 13, 24] {
-        let a = matrix(600, 4_200, 74);
         let data: Vec<f64> = (0..a.ncols() * k)
             .map(|i| (i % 29) as f64 * 0.125 - 1.0)
             .collect();
         let b = DenseMatrix::from_row_major(a.ncols(), k, data);
         let expected = reference::csrmm(&a, &b).unwrap();
-        let (s, v) = at_both_levels(|| {
-            let mut ctx = HeteroContext::paper();
-            hh_csrmm(&mut ctx, &a, &b, ThresholdPolicy::Fixed { t_a: 6, t_b: 6 }).c
-        });
-        for (c, lvl) in [(&s, "scalar"), (&v, "avx2")] {
-            assert!(
-                c.data()
-                    .iter()
-                    .zip(expected.data())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "tiled csrmm ({lvl}, width {k}) drifted from reference bits"
-            );
-        }
+        let mut ctx = HeteroContext::paper();
+        let c = hh_csrmm(&mut ctx, &a, &b, ThresholdPolicy::Fixed { t_a: 6, t_b: 6 }).c;
+        assert!(
+            c.data()
+                .iter()
+                .zip(expected.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "tiled csrmm (width {k}) drifted from reference bits"
+        );
     }
 }
 

@@ -115,20 +115,3 @@ fn spmv_and_csrmm_extensions_share_the_substrate() {
         assert!((y - want).abs() < 1e-9);
     }
 }
-
-#[test]
-fn ell_hybrid_agrees_with_hhcpu_pipeline() {
-    // cross-format sanity: ELL round trip feeding the heterogeneous product
-    use hetero_spmm::sparse::ell::EllMatrix;
-    let a = matrix(6);
-    let ell = EllMatrix::from_csr(&a);
-    assert!(
-        ell.padding_ratio() > 1.5,
-        "scale-free input must pad heavily"
-    );
-    let back = ell.to_csr();
-    let mut ctx = HeteroContext::paper();
-    let via_ell = hh_cpu(&mut ctx, &back, &back, &HhCpuConfig::default());
-    let direct = hh_cpu(&mut ctx, &a, &a, &HhCpuConfig::default());
-    assert_eq!(via_ell.c, direct.c);
-}
